@@ -18,6 +18,9 @@ from scipy.spatial import cKDTree
 
 # Relative gap under which two candidate distances are re-checked exactly.
 _TIE_RTOL = 1e-9
+# Largest codebook a config may name: bounds the memory a decoder allocates
+# (16 MB of float64 points) for any num_points read from a file.
+MAX_NUM_POINTS = 1 << 20
 
 
 class DirectionMode(enum.IntEnum):
@@ -53,6 +56,8 @@ class CodebookConfig:
             raise ValueError(f"box_side must be finite and > 0, got {self.box_side}")
         if not isinstance(self.num_points, int) or self.num_points < 1:
             raise ValueError(f"num_points must be a positive integer, got {self.num_points}")
+        if self.num_points > MAX_NUM_POINTS:
+            raise ValueError(f"num_points must be <= {MAX_NUM_POINTS}, got {self.num_points}")
         if not isinstance(self.max_category, int) or self.max_category < 0:
             raise ValueError(f"max_category must be a non-negative integer, got {self.max_category}")
         if len(self.centroid) != 2 or not all(math.isfinite(c) for c in self.centroid):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,7 +239,9 @@ def _write_blob(blob: bytes, dest) -> None:
         return
     path = os.fspath(dest)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hypc-", suffix=".part")
+    # Created like open(path, "wb") would, so the umask sets the final mode.
+    tmp = os.path.join(directory, f".hypc-{secrets.token_hex(8)}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(blob)

@@ -116,25 +116,35 @@ def estimate_threshold(
 ) -> PercolationEstimate:
     """Bisection on p for crossing frequency 1/2; estimate is the interval midpoint.
 
-    Trial i reuses the seed derived from (seed, i) at every probe, so the
-    empirical crossing frequency is non-decreasing in p and bisection is exact.
+    Trial i reuses the seed derived from (seed, i) at every probe, so each
+    trial's crossing is non-decreasing in p and bisection is exact. That
+    coupling also settles trials early: once a probe lowers ``hi`` to ``mid``,
+    every trial that failed there fails at all later (smaller) probes, and once
+    a probe raises ``lo``, every trial that crossed there crosses at all later
+    ones. Settled trials are not re-run; the crossing count at each probe, and
+    so the estimate, is the same as re-running every trial.
     """
     if trials < 50:
         raise ValueError(f"trials must be >= 50, got {trials}")
     if probes < 10:
         raise ValueError(f"probes must be >= 10, got {probes}")
-    trial_seeds = [_trial_seed(seed, t) for t in range(trials)]
+    undecided = [_trial_seed(seed, t) for t in range(trials)]
+    known_crossings = 0  # settled trials that cross at every later probe
     lo, hi = 0.0, 1.0
     for _ in range(probes):
         mid = 0.5 * (lo + hi)
-        crossings = sum(
+        crossed = [
             percolation_trial(LatticeSpec(kernel, width, height, mid, s))
-            for s in trial_seeds
-        )
+            for s in undecided
+        ]
+        crossings = known_crossings + sum(crossed)
         if crossings / trials >= 0.5:
             hi = mid
+            undecided = [s for s, c in zip(undecided, crossed) if c]
         else:
             lo = mid
+            known_crossings = crossings
+            undecided = [s for s, c in zip(undecided, crossed) if not c]
     return PercolationEstimate(
         kernel, height, width, trials, probes, 0.5 * (lo + hi), 0.5 * (hi - lo)
     )

@@ -152,6 +152,16 @@ class TestErrors:
                            "--pipeline")
         assert code == 1 and "pipeline" in err
 
+    def test_oversized_codebook_rejected(self, tmp_path, capsys):
+        ntb = tmp_path / "m.ntb"
+        target = tmp_path / "o.hcmp"
+        run(capsys, "gen", "--layers", "4,2", "--seed", "0", "--output", str(ntb))
+        code, out, err = run(capsys, "compress", "--input", str(ntb),
+                             "--output", str(target), "--u", "1048577")
+        assert code == 1 and out == "" and not target.exists()
+        assert err.startswith("error: ") and "num_points" in err
+        assert err.strip().count("\n") == 0
+
     def test_bad_direction_in_overrides(self, tmp_path, capsys):
         ntb = tmp_path / "m.ntb"
         run(capsys, "gen", "--layers", "4,2", "--seed", "0", "--output", str(ntb))

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypc.codebook import (
+    MAX_NUM_POINTS,
     CodebookConfig,
     DirectionMode,
     build_codebook,
@@ -218,6 +219,7 @@ class TestConfigValidation:
             {"side": -1.0},
             {"side": math.inf},
             {"u": 0},
+            {"u": MAX_NUM_POINTS + 1},
             {"m": -1},
             {"radius": -0.1},
             {"centroid": (math.nan, 0.0)},
@@ -229,3 +231,6 @@ class TestConfigValidation:
 
     def test_theta_bound(self):
         assert config(u=225, m=3).theta_bound == 900
+
+    def test_largest_codebook_accepted(self):
+        assert config(u=MAX_NUM_POINTS).num_points == 1 << 20

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -183,6 +185,18 @@ class TestHcmp:
         )
         assert 1 <= changed_groups.size <= math.ceil(8 / enc.bit_width) + 1
 
+    def test_oversized_codebook_rejected_on_load(self):
+        # a u32 codebook size of 2**31 would make decode allocate 16 GiB
+        rng = np.random.default_rng(7)
+        enc = encode_layer(rng.uniform(-1, 1, 64), "w", (64,), EncodeParams())
+        blob = bytearray(dump_hcmp(CompressedModel([enc])))
+        # header(10) name(2+1) shape(1+8) element_count(8) padded(1) box_side(8)
+        offset = 10 + 3 + 9 + 9 + 8
+        assert int.from_bytes(blob[offset:offset + 4], "little") == 225
+        blob[offset:offset + 4] = (1 << 31).to_bytes(4, "little")
+        with pytest.raises(FormatError, match="num_points"):
+            load_hcmp(bytes(blob))
+
     def test_payload_length_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         enc = encode_layer(rng.uniform(-1, 1, 10), "w", (10,), EncodeParams())
@@ -194,3 +208,18 @@ class TestHcmp:
         blob[length_at:length_at + 8] = (stored - 1).to_bytes(8, "little")
         with pytest.raises(FormatError):
             load_hcmp(bytes(blob))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_written_files_follow_umask(tmp_path, umask, mode):
+    bundle = TensorBundle([Tensor("w", (4,), np.arange(4, dtype=np.float32))])
+    model = CompressedModel([encode_layer(bundle.get("w").data, "w", (4,))])
+    previous = os.umask(umask)
+    try:
+        write_ntb(bundle, tmp_path / "m.ntb")
+        write_hcmp(model, tmp_path / "m.hcmp")
+    finally:
+        os.umask(previous)
+    for name in ("m.ntb", "m.hcmp"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.hcmp", "m.ntb"]

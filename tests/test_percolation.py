@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import hypc.percolation as percolation
 from hypc.percolation import (
     LatticeSpec,
+    PercolationEstimate,
+    _trial_seed,
     check_g2_isomorphism,
     estimate_threshold,
     percolation_trial,
@@ -85,6 +88,63 @@ class TestEstimate:
         d = est.to_json_dict()
         assert set(d) == {"r", "H", "W", "trials", "p_hat", "interval"}
         assert d["r"] == 2 and len(d["interval"]) == 2
+
+    @pytest.mark.parametrize(
+        "kernel, height, width, trials, probes, seed",
+        [
+            (2, 8, 12, 50, 10, 0),
+            (2, 40, 40, 80, 16, 3),
+            (3, 20, 9, 64, 12, 5),
+            (3, 36, 24, 50, 14, 8),
+            (4, 12, 40, 73, 11, 13),
+            (4, 30, 16, 80, 13, 21),
+        ],
+    )
+    def test_matches_full_bisection(self, kernel, height, width, trials, probes, seed):
+        # Reference: every trial re-run at every probe.
+        seeds = [_trial_seed(seed, t) for t in range(trials)]
+        lo, hi = 0.0, 1.0
+        for _ in range(probes):
+            mid = 0.5 * (lo + hi)
+            crossings = sum(
+                percolation_trial(LatticeSpec(kernel, width, height, mid, s))
+                for s in seeds
+            )
+            if crossings / trials >= 0.5:
+                hi = mid
+            else:
+                lo = mid
+        expected = PercolationEstimate(
+            kernel, height, width, trials, probes, 0.5 * (lo + hi), 0.5 * (hi - lo)
+        )
+        assert estimate_threshold(kernel, height, width, trials, probes, seed) == expected
+
+    def test_settled_trials_are_not_rerun(self, monkeypatch):
+        calls = []
+        real_trial = percolation.percolation_trial
+
+        def recording_trial(spec):
+            crossed = real_trial(spec)
+            calls.append((spec.seed, spec.p, crossed))
+            return crossed
+
+        monkeypatch.setattr(percolation, "percolation_trial", recording_trial)
+        trials, probes = 60, 12
+        estimate_threshold(2, 30, 30, trials=trials, probes=probes, seed=4)
+
+        probes_run: dict[float, dict[int, bool]] = {}
+        for s, p, crossed in calls:
+            probes_run.setdefault(p, {})[s] = crossed
+        ps = list(probes_run)
+        assert sorted(probes_run[ps[0]]) == sorted(_trial_seed(4, t) for t in range(trials))
+        for p, next_p in zip(ps, ps[1:]):
+            # a lower next probe re-runs only the trials that crossed at p,
+            # a higher one only those that failed
+            outcomes = probes_run[p]
+            undecided = {s for s, c in outcomes.items() if c == (next_p < p)}
+            assert set(probes_run[next_p]) == undecided
+        assert len({(s, p) for s, p, _ in calls}) == len(calls)
+        assert len(calls) < trials * probes
 
     def test_validation(self):
         with pytest.raises(ValueError):
