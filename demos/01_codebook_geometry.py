@@ -19,7 +19,7 @@ ROOT = 15
 def describe(mode: DirectionMode) -> None:
     cfg = CodebookConfig(SIDE, POINTS, 0, mode, centroid=(0.5, 0.5), max_radius=0.0)
     cb = build_codebook(cfg)
-    step = direction_vector(POINTS, SIDE, mode).step
+    step = direction_vector(POINTS, SIDE, mode)
     rng = np.random.default_rng(0)
     samples = rng.uniform(0.45, 0.55, size=(50_000, 2))
     _, dist = cb.nearest_many(samples)

@@ -11,24 +11,19 @@ from .analysis import compression_ratio, error_stats, validate_error_bound
 from .codebook import (
     Codebook,
     CodebookConfig,
-    Direction,
     DirectionMode,
     build_codebook,
     cached_codebook,
     direction_vector,
-    frac,
     generalized_tau,
-    nearest,
 )
 from .codec import (
     EncodedLayer,
     EncodeParams,
     ScalePlan,
-    analyze,
     build_scale_plan,
     categorize,
     decode_layer,
-    decode_theta,
     encode_layer,
     group_pairs,
     pack_bits,

@@ -1,5 +1,5 @@
 """Command-line front end: compress, decompress, inspect, eval, gen, train-toy,
-infer, bench, and perc subcommands. JSON on stdout by default; --pretty for
+infer, and perc subcommands. JSON on stdout by default; --pretty for
 human tables. Errors exit nonzero with one line on stderr; output files are
 written atomically."""
 
@@ -9,8 +9,6 @@ import argparse
 import json
 import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,12 +42,6 @@ from .inference import (
 from .percolation import estimate_threshold, solve_p0
 
 _DIRECTIONS = {"grid": DirectionMode.GRID_SHEAR, "paper": DirectionMode.PAPER_EQ}
-_BENCH_ARMS = {
-    "full": (True, True),
-    "no-kd": (False, True),
-    "no-matrix": (True, False),
-    "naive": (False, False),
-}
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -73,16 +65,28 @@ def _format_table(headers: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
-def _params_from_spec(spec: dict, base: EncodeParams) -> EncodeParams:
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DataError(f"--per-layer: {what} must be a JSON object, "
+                        f"got {type(value).__name__}")
+    return value
+
+
+def _params_from_spec(spec, base: EncodeParams, what: str) -> EncodeParams:
+    spec = _json_object(spec, what)
     direction = spec.get("direction")
-    if direction is not None and direction not in _DIRECTIONS:
+    if direction is not None and (not isinstance(direction, str)
+                                  or direction not in _DIRECTIONS):
         raise DataError(f"unknown direction {direction!r} (choose grid or paper)")
-    return EncodeParams(
-        box_side=float(spec.get("l", base.box_side)),
-        num_points=int(spec.get("u", base.num_points)),
-        max_category=int(spec.get("max_class", base.max_category)),
-        direction_mode=_DIRECTIONS[direction] if direction else base.direction_mode,
-    )
+    try:
+        return EncodeParams(
+            box_side=float(spec.get("l", base.box_side)),
+            num_points=int(spec.get("u", base.num_points)),
+            max_category=int(spec.get("max_class", base.max_category)),
+            direction_mode=_DIRECTIONS[direction] if direction else base.direction_mode,
+        )
+    except (TypeError, OverflowError) as exc:
+        raise DataError(f"--per-layer: {what}: {exc}") from None
 
 
 def _cmd_compress(args) -> int:
@@ -93,25 +97,18 @@ def _cmd_compress(args) -> int:
         max_category=args.max_class,
         direction_mode=_DIRECTIONS[args.direction],
     )
-    default_spec: dict = {}
-    layer_specs: dict = {}
+    overrides: dict = {}
     if args.per_layer:
         with open(args.per_layer, "r", encoding="utf-8") as f:
-            overrides = json.load(f)
-        default_spec = overrides.get("default", {})
-        layer_specs = overrides.get("layers", {})
-    base = _params_from_spec(default_spec, base)
-
-    def encode_one(tensor: Tensor):
-        params = _params_from_spec(layer_specs.get(tensor.name, {}), base)
-        return encode_layer(tensor.data, tensor.name, tensor.shape, params)
-
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        layers = [encode_one(t) for t in bundle.tensors]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            layers = list(pool.map(encode_one, bundle.tensors))
+            overrides = _json_object(json.load(f), "the file")
+    base = _params_from_spec(overrides.get("default", {}), base, "default")
+    layer_specs = _json_object(overrides.get("layers", {}), "layers")
+    layers = [
+        encode_layer(t.data, t.name, t.shape,
+                     _params_from_spec(layer_specs.get(t.name, {}), base,
+                                       f"layers[{t.name!r}]"))
+        for t in bundle.tensors
+    ]
     write_hcmp(CompressedModel(layers), args.output)
     in_bytes = os.path.getsize(args.input)
     out_bytes = os.path.getsize(args.output)
@@ -232,21 +229,6 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    bundle = read_ntb(args.input)
-    use_tree, use_batch = _BENCH_ARMS[args.mode]
-    start = time.perf_counter()
-    for t in bundle.tensors:
-        encode_layer(t.data, t.name, t.shape, EncodeParams(), use_tree=use_tree,
-                     use_batch=use_batch)
-    seconds = time.perf_counter() - start
-    payload = {"mode": args.mode, "seconds": seconds,
-               "layers": len(bundle.tensors), "weights": bundle.total_elements}
-    _emit(payload, args.pretty,
-          f"{args.mode}: {seconds:.3f} s over {bundle.total_elements} weights")
-    return 0
-
-
 def _cmd_perc(args) -> int:
     if args.perc_cmd == "p0":
         print(json.dumps(solve_p0()))
@@ -283,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=sorted(_DIRECTIONS), default="grid")
     p.add_argument("--per-layer", dest="per_layer",
                    help="JSON file with default/per-layer parameter overrides")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="concurrent layer encoders (never changes output bytes)")
     _add_pretty(p)
     p.set_defaults(func=_cmd_compress)
 
@@ -327,12 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="overlap decode and compute (HCMP only)")
     _add_pretty(p)
     p.set_defaults(func=_cmd_infer)
-
-    p = sub.add_parser("bench", help="time one compression arm")
-    p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=sorted(_BENCH_ARMS), default="full")
-    _add_pretty(p)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("perc", help="percolation experiments")
     perc_sub = p.add_subparsers(dest="perc_cmd", required=True)

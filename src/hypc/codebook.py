@@ -21,6 +21,8 @@ _TIE_RTOL = 1e-9
 # Largest codebook a config may name: bounds the memory a decoder allocates
 # (16 MB of float64 points) for any num_points read from a file.
 MAX_NUM_POINTS = 1 << 20
+# Largest ring count: HCMP stores it as a u16.
+MAX_CATEGORY = 0xFFFF
 
 
 class DirectionMode(enum.IntEnum):
@@ -60,6 +62,8 @@ class CodebookConfig:
             raise ValueError(f"num_points must be <= {MAX_NUM_POINTS}, got {self.num_points}")
         if not isinstance(self.max_category, int) or self.max_category < 0:
             raise ValueError(f"max_category must be a non-negative integer, got {self.max_category}")
+        if self.max_category > MAX_CATEGORY:
+            raise ValueError(f"max_category must be <= {MAX_CATEGORY}, got {self.max_category}")
         if len(self.centroid) != 2 or not all(math.isfinite(c) for c in self.centroid):
             raise ValueError(f"centroid must be a finite 2-D point, got {self.centroid}")
         if not (math.isfinite(self.max_radius) and self.max_radius >= 0):
@@ -79,23 +83,6 @@ class CodebookConfig:
         return (self.max_category + 1) * self.num_points
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Per-step coordinate increments of the winding trajectory."""
-
-    step: tuple[float, float]
-
-
-def frac(x: float) -> float:
-    """Fractional part x - floor(x), in [0, 1)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"frac requires a finite input, got {x}")
-    r = x - math.floor(x)
-    # x just below an integer can round the difference up to exactly 1.0
-    return 0.0 if r >= 1.0 else r
-
-
 def generalized_tau(v, config: CodebookConfig) -> np.ndarray:
     """Wrap coordinates mod box_side and shift into the config's box.
 
@@ -113,8 +100,10 @@ def generalized_tau(v, config: CodebookConfig) -> np.ndarray:
     return wrapped + offset
 
 
-def direction_vector(num_points: int, box_side: float, mode: DirectionMode) -> Direction:
-    """Per-step increments for the chosen mode.
+def direction_vector(
+    num_points: int, box_side: float, mode: DirectionMode
+) -> tuple[float, float]:
+    """Per-step (dx, dy) increments of the winding trajectory for the chosen mode.
 
     GRID_SHEAR: (box_side/num_points, box_side/isqrt(num_points)) -- a sheared
     lattice that covers the whole box for perfect-square num_points.
@@ -129,8 +118,8 @@ def direction_vector(num_points: int, box_side: float, mode: DirectionMode) -> D
     root = math.isqrt(num_points)
     mode = DirectionMode(mode)
     if mode is DirectionMode.GRID_SHEAR:
-        return Direction((box_side / num_points, box_side / root))
-    return Direction((box_side / (num_points * root), box_side / root))
+        return (box_side / num_points, box_side / root)
+    return (box_side / (num_points * root), box_side / root)
 
 
 class Codebook:
@@ -145,11 +134,6 @@ class Codebook:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def nearest(self, q) -> tuple[int, float]:
-        """Index and distance of the closest point to ``q`` (smallest index on ties)."""
-        idx, dist = self.nearest_many(np.asarray(q, dtype=np.float64).reshape(1, 2))
-        return int(idx[0]), float(dist[0])
 
     def nearest_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized nearest: (indices, distances) for an (n, 2) query array.
@@ -195,7 +179,7 @@ def build_codebook(config: CodebookConfig) -> Codebook:
     """
     direction = direction_vector(config.num_points, config.box_side, config.direction_mode)
     lam = np.arange(config.num_points, dtype=np.float64)
-    raw = lam[:, None] * np.asarray(direction.step)
+    raw = lam[:, None] * np.asarray(direction)
     points = generalized_tau(raw, config)
     return Codebook(config, points)
 
@@ -204,8 +188,3 @@ def build_codebook(config: CodebookConfig) -> Codebook:
 def cached_codebook(config: CodebookConfig) -> Codebook:
     """Memoized build_codebook; decode paths reuse one codebook per layer config."""
     return build_codebook(config)
-
-
-def nearest(codebook: Codebook, q) -> tuple[int, float]:
-    """Module-level alias for Codebook.nearest."""
-    return codebook.nearest(q)

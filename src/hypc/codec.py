@@ -121,15 +121,6 @@ def _analyze(points: np.ndarray) -> tuple[tuple[float, float], float, np.ndarray
     return (cx, cy), float(dists.max()), dists
 
 
-def analyze(points) -> tuple[tuple[float, float], float]:
-    """Centroid (per-coordinate mean) and largest centroid distance of the pairs."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if len(pts) == 0:
-        raise ValueError("analyze requires at least one point")
-    centroid, max_radius, _ = _analyze(pts)
-    return centroid, max_radius
-
-
 def _ring_boundaries(box_side: float, max_radius: float, max_category: int) -> np.ndarray:
     half = box_side / 2.0
     step = max_radius / max_category
@@ -164,14 +155,22 @@ def _categorize_distances(
 
 
 def categorize(point, centroid, max_radius: float, box_side: float, max_category: int) -> int:
-    """Ring index of a single pair; see _categorize_distances for the rule."""
-    px, py = float(point[0]), float(point[1])
-    cx, cy = float(centroid[0]), float(centroid[1])
-    dx = px - cx
-    dy = py - cy
-    d = np.sqrt(np.float64(dx * dx + dy * dy))
-    cats = _categorize_distances(np.array([d]), box_side, max_radius, max_category)
-    return int(cats[0])
+    """Ring index of a single pair: the scalar twin of _categorize_distances."""
+    dx = float(point[0]) - float(centroid[0])
+    dy = float(point[1]) - float(centroid[1])
+    d = math.sqrt(dx * dx + dy * dy)
+    half = box_side / 2.0
+    if d <= half:
+        return 0
+    if max_category:
+        step = max_radius / max_category
+        for m in range(1, max_category + 1):
+            if d <= half + step * m:
+                return m
+    outer = half + max_radius if max_category else half
+    if d > outer * (1.0 + _OVER_RTOL) + _OVER_ATOL:
+        raise ConsistencyError(f"distance {d} exceeds outermost ring {outer}")
+    return max_category
 
 
 def _scale_factors(
@@ -212,75 +211,47 @@ def _plan_from_distances(dists: np.ndarray, config: CodebookConfig) -> ScalePlan
     return ScalePlan(cats, scales)
 
 
-def _linear_scan_many(points: np.ndarray, queries: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Brute-force nearest index per query, first minimum on ties."""
-    out = np.empty(len(queries), dtype=np.int64)
-    px = points[:, 0]
-    py = points[:, 1]
-    for start in range(0, len(queries), chunk):
-        q = queries[start : start + chunk]
-        dsq = (q[:, 0, None] - px) ** 2 + (q[:, 1, None] - py) ** 2
-        out[start : start + chunk] = np.argmin(dsq, axis=1)
-    return out
-
-
 def _encode_thetas(
-    points: np.ndarray,
-    dists: np.ndarray,
-    config: CodebookConfig,
-    codebook: Codebook,
-    use_tree: bool,
-    use_batch: bool,
+    points: np.ndarray, dists: np.ndarray, config: CodebookConfig, codebook: Codebook
 ) -> np.ndarray:
-    num_points = config.num_points
-    cx, cy = config.centroid
-    if use_batch:
-        plan = _plan_from_distances(dists, config)
-        center = np.array([cx, cy])
-        scaled = (points - center) * plan.scales[:, None] + center
-        if use_tree:
-            lam, _ = codebook.nearest_many(scaled)
-        else:
-            lam = _linear_scan_many(codebook.points, scaled)
-        return plan.categories * num_points + lam
+    """Whole-array ring plan, rescale and k-d tree lookup.
 
-    # Per-group reference path; must reproduce the batch arithmetic exactly.
-    half = config.box_side / 2.0
-    max_cat = config.max_category
-    step = (config.max_radius / max_cat) if max_cat else 0.0
-    bands = [half + step * m for m in range(1, max_cat + 1)]
-    outer_limit = (half + config.max_radius) * (1.0 + _OVER_RTOL) + _OVER_ATOL
-    box_limit = half * (1.0 + _OVER_RTOL) + _OVER_ATOL
-    pts = [(float(x), float(y)) for x, y in codebook.points]
+    A function of its own so the (G, 2) temporaries are freed before packing.
+    """
+    plan = _plan_from_distances(dists, config)
+    center = np.array(config.centroid)
+    scaled = (points - center) * plan.scales[:, None] + center
+    lam, _ = codebook.nearest_many(scaled)
+    return plan.categories * config.num_points + lam
+
+
+def _reference_thetas(
+    points: np.ndarray, config: CodebookConfig, codebook: Codebook
+) -> np.ndarray:
+    """Per-group scalar arithmetic and an exhaustive scan, first minimum on ties.
+
+    Must reproduce the whole-array path's indices exactly.
+    """
+    num_points = config.num_points
+    box, radius, rings = config.box_side, config.max_radius, config.max_category
+    cx, cy = config.centroid
+    pts = codebook.points.tolist()
     theta = np.empty(len(points), dtype=np.int64)
-    for g in range(len(points)):
-        d = float(dists[g])
-        if d <= half:
-            cat = 0
-        else:
-            cat = next((m for m in range(1, max_cat + 1) if d <= bands[m - 1]), None)
-            if cat is None:
-                limit = outer_limit if max_cat else box_limit
-                if d > limit:
-                    raise ConsistencyError(f"distance {d} exceeds outermost ring")
-                cat = max_cat
-        s = 1.0 if cat == 0 else half / (half + step * cat)
-        ox = (float(points[g, 0]) - cx) * s + cx
-        oy = (float(points[g, 1]) - cy) * s + cy
-        if use_tree:
-            lam = codebook.nearest((ox, oy))[0]
-        else:
-            best = 0
-            best_dsq = math.inf
-            for j, (px, py) in enumerate(pts):
-                dx = ox - px
-                dy = oy - py
-                dsq = dx * dx + dy * dy
-                if dsq < best_dsq:
-                    best = j
-                    best_dsq = dsq
-            lam = best
-        theta[g] = cat * num_points + lam
+    for g, (px, py) in enumerate(points.tolist()):
+        cat = categorize((px, py), (cx, cy), radius, box, rings)
+        s = scale_factor(cat, box, radius, rings)
+        ox = (px - cx) * s + cx
+        oy = (py - cy) * s + cy
+        best = 0
+        best_dsq = math.inf
+        for j, (qx, qy) in enumerate(pts):
+            dx = ox - qx
+            dy = oy - qy
+            dsq = dx * dx + dy * dy
+            if dsq < best_dsq:
+                best = j
+                best_dsq = dsq
+        theta[g] = cat * num_points + best
     return theta
 
 
@@ -290,13 +261,13 @@ def encode_layer(
     shape,
     params: EncodeParams = EncodeParams(),
     *,
-    use_tree: bool = True,
-    use_batch: bool = True,
+    reference: bool = False,
 ) -> EncodedLayer:
     """Compress one tensor into an EncodedLayer.
 
-    ``use_tree`` / ``use_batch`` switch the spatial index and the whole-array
-    arithmetic off; every combination returns byte-identical payloads.
+    ``reference=True`` swaps the whole-array arithmetic and k-d tree lookup for
+    the per-group scalar path with an exhaustive scan; both return
+    byte-identical payloads.
     """
     shape = tuple(int(s) for s in shape)
     flat = np.asarray(weights, dtype=np.float64).ravel()
@@ -315,29 +286,15 @@ def encode_layer(
         params.direction_mode, centroid, max_radius,
     )
     codebook = build_codebook(config)
-    theta = _encode_thetas(points, dists, config, codebook, use_tree, use_batch)
+    if reference:
+        theta = _reference_thetas(points, config, codebook)
+    else:
+        theta = _encode_thetas(points, dists, config, codebook)
     bit_width = max(1, int(theta.max()).bit_length())
     payload = pack_bits(theta, bit_width)
     return EncodedLayer(
         name, shape, flat.size, padded, config, bit_width, payload, pad_value
     )
-
-
-def decode_theta(
-    theta: int, config: CodebookConfig, codebook: Codebook | None = None
-) -> tuple[float, float]:
-    """Invert one stored index into its weight pair."""
-    if not 0 <= theta < config.theta_bound:
-        raise FormatError(f"theta {theta} outside [0, {config.theta_bound})")
-    if codebook is None:
-        codebook = cached_codebook(config)
-    num_points = config.num_points
-    cat = theta // num_points
-    lam = theta % num_points
-    px, py = codebook.points[lam]
-    s = scale_factor(cat, config.box_side, config.max_radius, config.max_category)
-    cx, cy = config.centroid
-    return (float(px) - cx) / s + cx, (float(py) - cy) / s + cy
 
 
 def decode_layer(enc: EncodedLayer) -> np.ndarray:

@@ -265,8 +265,7 @@ def test_c12_acceleration_ablation():
     fast = encode_layer(weights, "big", shape, MAIN_PARAMS)
     fast_s = time.perf_counter() - start
     start = time.perf_counter()
-    slow = encode_layer(weights, "big", shape, MAIN_PARAMS,
-                        use_tree=False, use_batch=False)
+    slow = encode_layer(weights, "big", shape, MAIN_PARAMS, reference=True)
     slow_s = time.perf_counter() - start
     speedup = slow_s / fast_s
     ok = fast.payload == slow.payload and speedup >= 10.0

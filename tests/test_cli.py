@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from hypc.cli import main
 from hypc.container import CompressedModel, read_hcmp, read_ntb, write_hcmp
 
@@ -44,17 +46,6 @@ class TestEndToEnd:
         assert code == 0
         stats = json.loads(out)
         assert 0 < stats["max_abs"] < 0.1  # loose sanity; exact bound tested elsewhere
-
-    def test_jobs_flag_never_changes_bytes(self, tmp_path, capsys):
-        ntb = tmp_path / "m.ntb"
-        run(capsys, "gen", "--layers", "10,20,10", "--seed", "0", "--output", str(ntb))
-        one = tmp_path / "one.hcmp"
-        four = tmp_path / "four.hcmp"
-        assert run(capsys, "compress", "--input", str(ntb), "--output", str(one),
-                   "--jobs", "1")[0] == 0
-        assert run(capsys, "compress", "--input", str(ntb), "--output", str(four),
-                   "--jobs", "4")[0] == 0
-        assert one.read_bytes() == four.read_bytes()
 
     def test_per_layer_overrides(self, tmp_path, capsys):
         ntb = tmp_path / "m.ntb"
@@ -103,14 +94,6 @@ class TestEndToEnd:
                                "--data", str(csv))
         assert code == 0
         assert json.loads(ntb_out)["accuracy"] >= 0.95
-
-    def test_bench_reports_timing(self, tmp_path, capsys):
-        ntb = tmp_path / "m.ntb"
-        run(capsys, "gen", "--layers", "12,12", "--seed", "2", "--output", str(ntb))
-        code, out, _ = run(capsys, "bench", "--input", str(ntb), "--mode", "naive")
-        assert code == 0
-        report = json.loads(out)
-        assert report["mode"] == "naive" and report["seconds"] > 0
 
 
 class TestPerc:
@@ -161,6 +144,34 @@ class TestErrors:
         assert code == 1 and out == "" and not target.exists()
         assert err.startswith("error: ") and "num_points" in err
         assert err.strip().count("\n") == 0
+
+    def test_oversized_ring_count_rejected(self, tmp_path, capsys):
+        ntb = tmp_path / "m.ntb"
+        target = tmp_path / "o.hcmp"
+        run(capsys, "gen", "--layers", "4,2", "--seed", "0", "--output", str(ntb))
+        code, out, err = run(capsys, "compress", "--input", str(ntb),
+                             "--output", str(target), "--max-class", "65536")
+        assert code == 1 and out == "" and not target.exists()
+        assert err.startswith("error: ") and "max_category" in err
+        assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("overrides", [
+        [1, 2],
+        {"layers": {"layer0.weight": 5}},
+        {"default": {"u": None}},
+        {"default": {"direction": ["grid"]}},
+        {"default": {"u": math.inf}},  # written as Infinity, read back as inf
+    ])
+    def test_malformed_overrides_rejected(self, tmp_path, capsys, overrides):
+        ntb = tmp_path / "m.ntb"
+        target = tmp_path / "o.hcmp"
+        spec = tmp_path / "p.json"
+        run(capsys, "gen", "--layers", "4,2", "--seed", "0", "--output", str(ntb))
+        spec.write_text(json.dumps(overrides))
+        code, out, err = run(capsys, "compress", "--input", str(ntb),
+                             "--output", str(target), "--per-layer", str(spec))
+        assert code == 1 and out == "" and not target.exists()
+        assert err.startswith("error: ") and err.strip().count("\n") == 0
 
     def test_bad_direction_in_overrides(self, tmp_path, capsys):
         ntb = tmp_path / "m.ntb"

@@ -6,14 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypc.codebook import (
+    MAX_CATEGORY,
     MAX_NUM_POINTS,
     CodebookConfig,
     DirectionMode,
     build_codebook,
     direction_vector,
-    frac,
     generalized_tau,
-    nearest,
 )
 
 GRID = DirectionMode.GRID_SHEAR
@@ -29,24 +28,6 @@ def exhaustive_nearest(points: np.ndarray, q) -> tuple[int, float]:
 
 def config(side=0.1, u=225, m=0, mode=GRID, centroid=(0.5, 0.5), radius=0.0):
     return CodebookConfig(side, u, m, mode, centroid, radius)
-
-
-class TestFrac:
-    def test_examples(self):
-        assert frac(2.3) == pytest.approx(0.3)
-        assert frac(-0.25) == 0.75
-        assert frac(5.0) == 0.0
-
-    def test_non_finite_rejected(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                frac(bad)
-
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_range_and_idempotence(self, x):
-        r = frac(x)
-        assert 0.0 <= r < 1.0
-        assert frac(r) == r
 
 
 class TestGeneralizedTau:
@@ -78,8 +59,8 @@ class TestGeneralizedTau:
 class TestDirectionVector:
     def test_paper_mode_closed_form(self):
         d = direction_vector(225, 0.1, PAPER)
-        assert d.step[0] == pytest.approx(2.962963e-5, rel=1e-6)
-        assert d.step[1] == pytest.approx(6.666667e-3, rel=1e-6)
+        assert d[0] == pytest.approx(2.962963e-5, rel=1e-6)
+        assert d[1] == pytest.approx(6.666667e-3, rel=1e-6)
 
     def test_paper_mode_matches_trig_evaluation(self):
         # closed form vs the normalized-diagonal construction with trig terms
@@ -90,17 +71,17 @@ class TestDirectionVector:
             alpha = math.atan(u)
             step_len = side / (math.sin(alpha) * root)
             expected = unit * step_len
-            got = direction_vector(u, side, PAPER).step
+            got = direction_vector(u, side, PAPER)
             assert got == pytest.approx(tuple(expected), rel=1e-12)
 
     def test_grid_mode(self):
         d = direction_vector(225, 0.1, GRID)
-        assert d.step[0] == pytest.approx(4.444444e-4, rel=1e-6)
-        assert d.step[1] == pytest.approx(6.666667e-3, rel=1e-6)
+        assert d[0] == pytest.approx(4.444444e-4, rel=1e-6)
+        assert d[1] == pytest.approx(6.666667e-3, rel=1e-6)
 
     def test_small_u_paper_mode(self):
         d = direction_vector(4, 0.1, PAPER)
-        assert d.step == pytest.approx((0.0125, 0.05), rel=1e-12)
+        assert d == pytest.approx((0.0125, 0.05), rel=1e-12)
         # sanity: sin(alpha) = 4 / sqrt(17) for tan(alpha) = 4
         assert math.sin(math.atan(4)) == pytest.approx(4 / math.sqrt(17))
 
@@ -114,7 +95,7 @@ class TestDirectionVector:
         mode=st.sampled_from([GRID, PAPER]),
     )
     def test_components_positive_below_side(self, u, side, mode):
-        a1, a2 = direction_vector(u, side, mode).step
+        a1, a2 = direction_vector(u, side, mode)
         assert 0 < a1 < side
         assert 0 < a2 < side
 
@@ -165,8 +146,8 @@ class TestBuildCodebook:
 class TestNearest:
     def test_codebook_point_recovers_itself(self):
         cb = build_codebook(config(u=16))
-        idx, dist = nearest(cb, cb.points[3])
-        assert (idx, dist) == (3, 0.0)
+        idx, dist = cb.nearest_many(cb.points[3:4])
+        assert (idx[0], dist[0]) == (3, 0.0)
 
     def test_exact_tie_prefers_smaller_index(self):
         # side 0.5 with centroid (0.5, 0.5) keeps every coordinate exactly
@@ -177,8 +158,8 @@ class TestNearest:
         d1 = ((p1 - mid) ** 2).sum()
         d2 = ((p2 - mid) ** 2).sum()
         assert d1 == d2  # genuine tie, bit for bit
-        idx, _ = nearest(cb, mid)
-        assert idx == 1
+        idx, _ = cb.nearest_many(mid.reshape(1, 2))
+        assert idx[0] == 1
 
     @pytest.mark.parametrize("u", [1, 2, 5, 225, 361])
     def test_matches_exhaustive_scan(self, u):
@@ -208,7 +189,7 @@ class TestNearest:
     def test_rejects_non_finite_query(self):
         cb = build_codebook(config(u=4))
         with pytest.raises(ValueError):
-            cb.nearest((math.nan, 0.0))
+            cb.nearest_many(np.array([[math.nan, 0.0]]))
 
 
 class TestConfigValidation:
@@ -223,6 +204,7 @@ class TestConfigValidation:
             {"m": -1},
             {"radius": -0.1},
             {"centroid": (math.nan, 0.0)},
+            {"m": 65536},  # HCMP stores the ring count as a u16
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
@@ -234,3 +216,6 @@ class TestConfigValidation:
 
     def test_largest_codebook_accepted(self):
         assert config(u=MAX_NUM_POINTS).num_points == 1 << 20
+
+    def test_largest_ring_count_accepted(self):
+        assert config(m=MAX_CATEGORY).max_category == 65535

@@ -9,11 +9,9 @@ from hypc.codebook import CodebookConfig, DirectionMode, build_codebook
 from hypc.codec import (
     EncodeParams,
     EncodedLayer,
-    analyze,
     build_scale_plan,
     categorize,
     decode_layer,
-    decode_theta,
     encode_layer,
     group_pairs,
     pack_bits,
@@ -33,9 +31,7 @@ def covering_bound(params: EncodeParams) -> float:
 def roundtrip_bounds(weights, params=PARAMS):
     """Per-weight error bounds (covering radius divided by the group's scale)."""
     points, _, _ = group_pairs(weights)
-    config_args = analyze(points)
-    cfg = CodebookConfig(params.box_side, params.num_points, params.max_category,
-                         params.direction_mode, *config_args)
+    cfg = encode_layer(weights, "w", (len(np.ravel(weights)),), params).config
     plan = build_scale_plan(points, cfg)
     per_group = covering_bound(params) / plan.scales
     return np.repeat(per_group, 2)[: len(np.ravel(weights))]
@@ -68,23 +64,26 @@ class TestGroupPairs:
 
 
 class TestAnalyze:
+    """Centroid and largest centroid distance, as encode_layer records them."""
+
+    @staticmethod
+    def analyze(weights):
+        cfg = encode_layer(weights, "w", (len(weights),), PARAMS).config
+        return cfg.centroid, cfg.max_radius
+
     def test_single_point(self):
-        centroid, radius = analyze([(0.5, 0.5)])
+        centroid, radius = self.analyze([0.5, 0.5])
         assert centroid == (0.5, 0.5) and radius == 0.0
 
     def test_symmetric_pair(self):
-        centroid, radius = analyze([(0.0, 0.0), (1.0, 1.0)])
+        centroid, radius = self.analyze([0.0, 0.0, 1.0, 1.0])
         assert centroid == (0.5, 0.5)
         assert radius == pytest.approx(math.sqrt(0.5))
 
     def test_worked_example(self):
-        centroid, radius = analyze([(0.1, 0.2), (0.4, 0.5)])
+        centroid, radius = self.analyze([0.1, 0.2, 0.4, 0.5])
         assert centroid == pytest.approx((0.25, 0.35))
         assert radius == pytest.approx(0.2121320, abs=1e-7)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            analyze(np.zeros((0, 2)))
 
 
 class TestCategorize:
@@ -213,11 +212,11 @@ class TestEncodeDecode:
 
     def test_scale_containment(self):
         rng = np.random.default_rng(5)
-        points, _, _ = group_pairs(rng.normal(size=5000))
-        centroid, radius = analyze(points)
-        cfg = CodebookConfig(0.1, 225, 3, GRID, centroid, radius)
+        weights = rng.normal(size=5000)
+        points, _, _ = group_pairs(weights)
+        cfg = encode_layer(weights, "w", (5000,), PARAMS).config
         plan = build_scale_plan(points, cfg)
-        center = np.array(centroid)
+        center = np.array(cfg.centroid)
         scaled = (points - center) * plan.scales[:, None] + center
         dist = np.hypot(*(scaled - center).T)
         assert dist.max() <= (0.1 / 2) * (1 + 1e-12)
@@ -247,13 +246,10 @@ class TestEncodeDecode:
     def test_all_arms_agree(self):
         rng = np.random.default_rng(7)
         weights = rng.normal(scale=0.3, size=2000)
-        reference = encode_layer(weights, "w", (2000,), PARAMS,
-                                 use_tree=False, use_batch=False)
-        for use_tree, use_batch in [(True, True), (True, False), (False, True)]:
-            arm = encode_layer(weights, "w", (2000,), PARAMS,
-                               use_tree=use_tree, use_batch=use_batch)
-            assert arm.payload == reference.payload
-            assert arm.bit_width == reference.bit_width
+        reference = encode_layer(weights, "w", (2000,), PARAMS, reference=True)
+        full = encode_layer(weights, "w", (2000,), PARAMS)
+        assert full.payload == reference.payload
+        assert full.bit_width == reference.bit_width
 
     def test_empty_layer(self):
         enc = encode_layer([], "w", (0,), PARAMS)
@@ -274,28 +270,32 @@ class TestDecodeTheta:
     def cfg(self, m=0, radius=0.0):
         return CodebookConfig(0.1, 4, m, GRID, (0.5, 0.5), radius)
 
+    @staticmethod
+    def decode_one(theta, cfg):
+        """Decode a 2-weight layer whose only stored index is ``theta``."""
+        width = max(1, theta.bit_length())
+        layer = EncodedLayer("w", (2,), 2, False, cfg, width,
+                             pack_bits([theta], width), 0.0)
+        return tuple(decode_layer(layer))
+
     def test_zero_index_is_box_corner(self):
-        cfg = self.cfg()
-        w1, w2 = decode_theta(0, cfg, build_codebook(cfg))
+        w1, w2 = self.decode_one(0, self.cfg())
         assert (w1, w2) == pytest.approx((0.45, 0.45), abs=1e-12)
 
     def test_ring_one_inverse_scaling(self):
-        cfg = self.cfg(m=2, radius=0.4)
-        w1, w2 = decode_theta(1 * 4 + 0, cfg, build_codebook(cfg))
+        w1, w2 = self.decode_one(1 * 4 + 0, self.cfg(m=2, radius=0.4))
         assert (w1, w2) == pytest.approx((0.25, 0.25), abs=1e-9)
 
     def test_category_zero_point_is_exact(self):
         cfg = self.cfg(m=2, radius=0.4)
         cb = build_codebook(cfg)
-        w1, w2 = decode_theta(3, cfg, cb)
+        w1, w2 = self.decode_one(3, cfg)
         assert (w1, w2) == (cb.points[3][0], cb.points[3][1])
 
     def test_out_of_range_rejected(self):
-        cfg = self.cfg(m=2, radius=0.4)
+        cfg = self.cfg(m=2, radius=0.4)  # bound = 12, the first index it rejects
         with pytest.raises(FormatError):
-            decode_theta(12, cfg)
-        with pytest.raises(FormatError):
-            decode_theta(-1, cfg)
+            self.decode_one(12, cfg)
 
     def test_decode_layer_rejects_out_of_range_theta(self):
         cfg = self.cfg()  # bound = 4, but 3 bits can hold up to 7
