@@ -41,7 +41,6 @@ from .container import (
 )
 from .errors import ConsistencyError, DataError, FormatError, HypcError
 from .inference import (
-    Activation,
     MlpLayer,
     MlpNetwork,
     ToyDataset,

@@ -32,10 +32,8 @@ from .inference import (
     eval_accuracy,
     load_dataset_csv,
     make_toy_dataset,
-    mlp_forward,
     model_to_network,
     network_to_bundle,
-    pipelined_forward,
     save_dataset_csv,
     train_toy,
 )
@@ -65,15 +63,20 @@ def _format_table(headers: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
-def _json_object(value, what: str) -> dict:
+def _json_object(value, what: str, keys) -> dict:
+    """value as a dict whose keys all come from keys, else DataError."""
     if not isinstance(value, dict):
         raise DataError(f"--per-layer: {what} must be a JSON object, "
                         f"got {type(value).__name__}")
+    unknown = [k for k in value if k not in keys]
+    if unknown:
+        raise DataError(f"--per-layer: {what}: unknown key {unknown[0]!r} "
+                        f"(expected one of {', '.join(keys)})")
     return value
 
 
 def _params_from_spec(spec, base: EncodeParams, what: str) -> EncodeParams:
-    spec = _json_object(spec, what)
+    spec = _json_object(spec, what, ("l", "u", "max_class", "direction"))
     direction = spec.get("direction")
     if direction is not None and (not isinstance(direction, str)
                                   or direction not in _DIRECTIONS):
@@ -100,9 +103,10 @@ def _cmd_compress(args) -> int:
     overrides: dict = {}
     if args.per_layer:
         with open(args.per_layer, "r", encoding="utf-8") as f:
-            overrides = _json_object(json.load(f), "the file")
+            overrides = _json_object(json.load(f), "the file", ("default", "layers"))
     base = _params_from_spec(overrides.get("default", {}), base, "default")
-    layer_specs = _json_object(overrides.get("layers", {}), "layers")
+    layer_specs = _json_object(overrides.get("layers", {}), "layers",
+                               [t.name for t in bundle.tensors])
     layers = [
         encode_layer(t.data, t.name, t.shape,
                      _params_from_spec(layer_specs.get(t.name, {}), base,
@@ -214,17 +218,15 @@ def _cmd_infer(args) -> int:
     if magic == NTB_MAGIC:
         if args.pipeline:
             raise DataError("--pipeline needs a compressed (.hcmp) model")
-        outputs = mlp_forward(bundle_to_network(read_ntb(args.model)), x)
+        model = bundle_to_network(read_ntb(args.model))
     elif magic == HCMP_MAGIC:
+        # eval_accuracy runs a CompressedModel through the pipelined forward pass
         model = read_hcmp(args.model)
-        if args.pipeline:
-            outputs = pipelined_forward(model, x)
-        else:
-            outputs = mlp_forward(model_to_network(model), x)
+        if not args.pipeline:
+            model = model_to_network(model)
     else:
         raise DataError(f"{args.model}: neither an NTB nor an HCMP file")
-    pred = np.argmax(outputs, axis=1)
-    acc = float(np.mean(pred == labels))
+    acc = eval_accuracy(model, x, labels)
     _emit({"accuracy": acc}, args.pretty, f"accuracy {acc:.4f}")
     return 0
 

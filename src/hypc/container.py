@@ -24,6 +24,12 @@ HCMP_MAGIC = b"HCMP"
 HCMP_VERSION = 1
 DTYPE_F32 = 0
 
+# Fixed part of an HCMP layer record, between its shape and its payload:
+# element count, padded flag, box side, U, max category, direction mode,
+# centroid x and y, max radius, pad value, bit width, payload length.
+_HCMP_LAYER = struct.Struct("<QBdIHBddddBQ")
+_PADDED_AT, _MODE_AT = 8, 23  # byte offsets of the two tags within it
+
 
 @dataclass
 class Tensor:
@@ -179,12 +185,11 @@ def dump_hcmp(model: CompressedModel) -> bytes:
         cfg = layer.config
         parts.append(_encode_name(layer.name))
         parts.append(_encode_shape(layer.shape))
-        parts.append(struct.pack("<QB", layer.element_count, int(layer.padded)))
-        parts.append(struct.pack("<dIHB", cfg.box_side, cfg.num_points,
-                                 cfg.max_category, int(cfg.direction_mode)))
-        parts.append(struct.pack("<dddd", cfg.centroid[0], cfg.centroid[1],
-                                 cfg.max_radius, layer.pad_value))
-        parts.append(struct.pack("<BQ", layer.bit_width, len(layer.payload)))
+        parts.append(_HCMP_LAYER.pack(
+            layer.element_count, int(layer.padded), cfg.box_side, cfg.num_points,
+            cfg.max_category, int(cfg.direction_mode), *cfg.centroid,
+            cfg.max_radius, layer.pad_value, layer.bit_width, len(layer.payload),
+        ))
         parts.append(layer.payload)
     return b"".join(parts)
 
@@ -201,22 +206,16 @@ def load_hcmp(blob: bytes) -> CompressedModel:
     for _ in range(count):
         name = r.name()
         shape = _read_shape(r)
-        element_count = r.unpack("<Q")
-        padded = r.unpack("<B")
+        fixed_at = r.pos
+        (element_count, padded, box_side, num_points, max_category, mode_tag,
+         cx, cy, max_radius, pad_value, bit_width, payload_len,
+         ) = _HCMP_LAYER.unpack(r.take(_HCMP_LAYER.size))
         if padded not in (0, 1):
-            raise FormatError(f"HCMP: bad padded flag {padded} at offset {r.pos - 1}")
-        box_side = r.unpack("<d")
-        num_points = r.unpack("<I")
-        max_category = r.unpack("<H")
-        mode_tag = r.unpack("<B")
+            raise FormatError(
+                f"HCMP: bad padded flag {padded} at offset {fixed_at + _PADDED_AT}")
         if mode_tag not in (0, 1):
-            raise FormatError(f"HCMP: bad direction mode {mode_tag} at offset {r.pos - 1}")
-        cx = r.unpack("<d")
-        cy = r.unpack("<d")
-        max_radius = r.unpack("<d")
-        pad_value = r.unpack("<d")
-        bit_width = r.unpack("<B")
-        payload_len = r.unpack("<Q")
+            raise FormatError(
+                f"HCMP: bad direction mode {mode_tag} at offset {fixed_at + _MODE_AT}")
         payload = r.take(payload_len)
         try:
             config = CodebookConfig(box_side, num_points, max_category,

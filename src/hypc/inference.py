@@ -1,40 +1,34 @@
 """Dense forward pass with decode-while-compute pipelining, plus a toy trainer.
 
-The pipeline runs exactly two workers: a decoder thread feeding a capacity-1
-hand-off queue and the computing thread consuming it. Layer i is always fully
-decoded before it is used; layer i+1 may decode while layer i computes. The
-outputs are bitwise identical to decoding everything first and then running
-the forward pass, regardless of scheduling.
+Every layer applies ReLU except the last, which is the identity, so a layer's
+position decides its activation. The pipeline runs exactly two threads: a
+one-worker executor decodes the layers in order and the calling thread
+computes them. Layer i is always fully decoded before it is used; the decoder
+may run any number of layers ahead, so at most it holds the decoded model,
+as the sequential arm does. The outputs are bitwise identical to decoding
+everything first and then running the forward pass, regardless of scheduling.
 """
 
 from __future__ import annotations
 
-import enum
-import queue
 import re
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import EncodedLayer, decode_layer
-from .container import CompressedModel, Tensor, TensorBundle
+from .container import CompressedModel, Tensor, TensorBundle, _write_blob
 from .errors import DataError
 
 _WEIGHT_RE = re.compile(r"^layer(\d+)\.(weight|bias)$")
-
-
-class Activation(enum.Enum):
-    RELU = "relu"
-    IDENTITY = "identity"
 
 
 @dataclass
 class MlpLayer:
     weight: np.ndarray  # (out, in) float32
     bias: np.ndarray  # (out,) float32
-    activation: Activation
 
     def __post_init__(self):
         self.weight = np.ascontiguousarray(self.weight, dtype=np.float32)
@@ -49,6 +43,8 @@ class MlpLayer:
 
 @dataclass
 class MlpNetwork:
+    """Layers applied in order: ReLU after each one but the last."""
+
     layers: list[MlpLayer]
 
     def __post_init__(self):
@@ -60,8 +56,6 @@ class MlpNetwork:
                     f"layer input dim {nxt.weight.shape[1]} does not chain from "
                     f"previous output dim {prev.weight.shape[0]}"
                 )
-        if self.layers[-1].activation is not Activation.IDENTITY:
-            raise ValueError("final layer must use the identity activation")
 
     @property
     def input_dim(self) -> int:
@@ -69,20 +63,26 @@ class MlpNetwork:
 
 
 def _apply_layer(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                 activation: Activation) -> np.ndarray:
+                 relu: bool) -> np.ndarray:
     y = x @ weight.T + bias
-    if activation is Activation.RELU:
+    if relu:
         y = np.maximum(y, np.float32(0.0))
     return y
 
 
+def _as_batch(batch, width: int) -> np.ndarray:
+    x = np.ascontiguousarray(batch, dtype=np.float32)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ValueError(f"batch must be (n, {width}), got {x.shape}")
+    return x
+
+
 def mlp_forward(net: MlpNetwork, batch) -> np.ndarray:
     """Row-major float32 forward pass; deterministic evaluation order."""
-    x = np.ascontiguousarray(batch, dtype=np.float32)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ValueError(f"batch must be (n, {net.input_dim}), got {x.shape}")
-    for layer in net.layers:
-        x = _apply_layer(x, layer.weight, layer.bias, layer.activation)
+    x = _as_batch(batch, net.input_dim)
+    count = len(net.layers)
+    for i, layer in enumerate(net.layers):
+        x = _apply_layer(x, layer.weight, layer.bias, i < count - 1)
     return x
 
 
@@ -111,24 +111,23 @@ def _collect_mlp_parts(names: list[str]) -> int:
     return count
 
 
-def _assemble_network(fetch, names: list[str]) -> MlpNetwork:
-    count = _collect_mlp_parts(names)
-    layers = []
-    for i in range(count):
-        w_shape, w_data = fetch(f"layer{i}.weight")
-        b_shape, b_data = fetch(f"layer{i}.bias")
-        if len(w_shape) != 2 or len(b_shape) != 1:
-            raise DataError(f"layer{i}: weight must be rank 2 and bias rank 1")
-        act = Activation.IDENTITY if i == count - 1 else Activation.RELU
-        layers.append(MlpLayer(w_data.reshape(w_shape), b_data.reshape(b_shape), act))
-    return MlpNetwork(layers)
+def _layer_parts(parts: dict, i: int):
+    """Layer i's weight and bias entries (anything with a .shape), rank-checked."""
+    weight, bias = parts[f"layer{i}.weight"], parts[f"layer{i}.bias"]
+    if len(weight.shape) != 2 or len(bias.shape) != 1:
+        raise DataError(f"layer{i}: weight must be rank 2 and bias rank 1")
+    return weight, bias
+
+
+def _assemble_network(parts: dict, to_array) -> MlpNetwork:
+    count = _collect_mlp_parts(list(parts))
+    return MlpNetwork([MlpLayer(*map(to_array, _layer_parts(parts, i)))
+                       for i in range(count)])
 
 
 def bundle_to_network(bundle: TensorBundle) -> MlpNetwork:
-    def fetch(name):
-        t = bundle.get(name)
-        return t.shape, t.data
-    return _assemble_network(fetch, [t.name for t in bundle.tensors])
+    return _assemble_network({t.name: t for t in bundle.tensors},
+                             lambda t: t.data.reshape(t.shape))
 
 
 def decoded_tensor(enc: EncodedLayer) -> np.ndarray:
@@ -138,12 +137,8 @@ def decoded_tensor(enc: EncodedLayer) -> np.ndarray:
 
 def model_to_network(model: CompressedModel) -> MlpNetwork:
     """Decode everything up front and assemble the network (the sequential arm)."""
-    by_name = {layer.name: layer for layer in model.layers}
-
-    def fetch(name):
-        enc = by_name[name]
-        return enc.shape, decoded_tensor(enc)
-    return _assemble_network(fetch, list(by_name))
+    return _assemble_network({layer.name: layer for layer in model.layers},
+                             decoded_tensor)
 
 
 @dataclass
@@ -161,46 +156,26 @@ def pipelined_forward(model: CompressedModel, batch, with_trace: bool = False):
     Each layer decodes exactly once per call. Returns the outputs, or
     (outputs, PipelineTrace) when with_trace is set.
     """
-    by_name = {layer.name: layer for layer in model.layers}
-    count = _collect_mlp_parts(list(by_name))
-    x = np.ascontiguousarray(batch, dtype=np.float32)
-    if x.ndim != 2:
-        raise ValueError(f"batch must be 2-D, got shape {x.shape}")
+    parts = {layer.name: layer for layer in model.layers}
+    count = _collect_mlp_parts(list(parts))
+    x = _as_batch(batch, _layer_parts(parts, 0)[0].shape[1])
+    decode_spans: list[tuple[float, float]] = []
+    compute_spans: list[tuple[float, float]] = []
 
-    handoff: queue.Queue = queue.Queue(maxsize=1)
-    decode_spans: list[tuple[float, float]] = [None] * count  # type: ignore[list-item]
-    compute_spans: list[tuple[float, float]] = [None] * count  # type: ignore[list-item]
-
-    def decoder():
-        try:
-            for i in range(count):
-                t0 = time.perf_counter()
-                w_enc = by_name[f"layer{i}.weight"]
-                b_enc = by_name[f"layer{i}.bias"]
-                if len(w_enc.shape) != 2 or len(b_enc.shape) != 1:
-                    raise DataError(f"layer{i}: weight must be rank 2 and bias rank 1")
-                weight = decoded_tensor(w_enc)
-                bias = decoded_tensor(b_enc)
-                decode_spans[i] = (t0, time.perf_counter())
-                handoff.put((weight, bias))
-        except BaseException as exc:  # hand the failure to the consumer
-            handoff.put(exc)
+    def decode(i: int):
+        t0 = time.perf_counter()
+        weight, bias = map(decoded_tensor, _layer_parts(parts, i))
+        return weight, bias, (t0, time.perf_counter())
 
     start = time.perf_counter()
-    worker = threading.Thread(target=decoder, name="hypc-decoder", daemon=True)
-    worker.start()
-    try:
-        for i in range(count):
-            item = handoff.get()
-            if isinstance(item, BaseException):
-                raise item
-            weight, bias = item
-            act = Activation.IDENTITY if i == count - 1 else Activation.RELU
+    # Leaving the block waits for the decoder, so an error on either side
+    # propagates from here and no decoder thread outlives the call.
+    with ThreadPoolExecutor(1, thread_name_prefix="hypc-decoder") as decoder:
+        for i, (weight, bias, span) in enumerate(decoder.map(decode, range(count))):
+            decode_spans.append(span)
             t0 = time.perf_counter()
-            x = _apply_layer(x, weight, bias, act)
-            compute_spans[i] = (t0, time.perf_counter())
-    finally:
-        worker.join()
+            x = _apply_layer(x, weight, bias, i < count - 1)
+            compute_spans.append((t0, time.perf_counter()))
     wall = time.perf_counter() - start
     if with_trace:
         return x, PipelineTrace(decode_spans, compute_spans, wall)
@@ -278,15 +253,8 @@ def train_toy(seed: int) -> MlpNetwork:
             weights[i] = weights[i] - _TOY_STEP * grad_w
             biases[i] = biases[i] - _TOY_STEP * grad_b
 
-    layers = [
-        MlpLayer(
-            weights[i].astype(np.float32),
-            biases[i].astype(np.float32),
-            Activation.IDENTITY if i == len(weights) - 1 else Activation.RELU,
-        )
-        for i in range(len(weights))
-    ]
-    return MlpNetwork(layers)
+    return MlpNetwork([MlpLayer(w.astype(np.float32), b.astype(np.float32))
+                       for w, b in zip(weights, biases)])
 
 
 def eval_accuracy(net_or_model, inputs, labels) -> float:
@@ -301,8 +269,6 @@ def eval_accuracy(net_or_model, inputs, labels) -> float:
 
 def save_dataset_csv(path, inputs: np.ndarray, labels: np.ndarray) -> None:
     """Write rows as x1..xd,label with enough digits to round-trip float32."""
-    from .container import _write_blob
-
     inputs = np.asarray(inputs, dtype=np.float32)
     labels = np.asarray(labels)
     header = ",".join(f"x{i + 1}" for i in range(inputs.shape[1])) + ",label"

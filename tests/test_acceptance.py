@@ -27,7 +27,6 @@ from hypc.container import (
     load_ntb,
 )
 from hypc.inference import (
-    Activation,
     MlpLayer,
     MlpNetwork,
     eval_accuracy,
@@ -159,8 +158,7 @@ def test_c06_pipeline_bitwise_equal():
     for i in range(len(dims) - 1):
         w = rng.normal(scale=0.3, size=(dims[i + 1], dims[i])).astype(np.float32)
         b = rng.normal(scale=0.05, size=dims[i + 1]).astype(np.float32)
-        act = Activation.IDENTITY if i == len(dims) - 2 else Activation.RELU
-        layers.append(MlpLayer(w, b, act))
+        layers.append(MlpLayer(w, b))
     bundle = network_to_bundle(MlpNetwork(layers))
     model = CompressedModel(
         [encode_layer(t.data, t.name, t.shape, MAIN_PARAMS) for t in bundle.tensors]

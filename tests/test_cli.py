@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hypc.cli import main
 from hypc.container import CompressedModel, read_hcmp, read_ntb, write_hcmp
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -172,6 +178,41 @@ class TestErrors:
                              "--output", str(target), "--per-layer", str(spec))
         assert code == 1 and out == "" and not target.exists()
         assert err.startswith("error: ") and err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"default": {"U": 64}}, "U"),
+        ({"layers": {"layer0.weigth": {"u": 16}}}, "layer0.weigth"),
+        ({"defaults": {"u": 64}}, "defaults"),
+    ])
+    def test_unknown_override_keys_rejected(self, tmp_path, capsys, overrides, key):
+        ntb = tmp_path / "m.ntb"
+        target = tmp_path / "o.hcmp"
+        spec = tmp_path / "p.json"
+        run(capsys, "gen", "--layers", "4,2", "--seed", "0", "--output", str(ntb))
+        spec.write_text(json.dumps(overrides))
+        code, out, err = run(capsys, "compress", "--input", str(ntb),
+                             "--output", str(target), "--per-layer", str(spec))
+        assert code == 1 and out == "" and not target.exists()
+        assert err.startswith("error: ") and err.strip().count("\n") == 0
+        assert repr(key) in err
+
+    def test_pipelined_infer_on_wrong_width_exits(self, tmp_path, capsys):
+        # A compute error in the pipelined arm must end the command, not hang it.
+        ntb = tmp_path / "m.ntb"
+        hcmp = tmp_path / "m.hcmp"
+        csv = tmp_path / "bad.csv"
+        run(capsys, "gen", "--layers", "6,5,4,3,2", "--seed", "0", "--output", str(ntb))
+        run(capsys, "compress", "--input", str(ntb), "--output", str(hcmp))
+        csv.write_text("x1,x2,x3,label\n0,0,0,0\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-m", "hypc.cli", "infer", "--model", str(hcmp),
+             "--data", str(csv), "--pipeline"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith("error: batch must be (n, 6)")
+        assert result.stderr.strip().count("\n") == 0
 
     def test_bad_direction_in_overrides(self, tmp_path, capsys):
         ntb = tmp_path / "m.ntb"

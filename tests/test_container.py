@@ -1,11 +1,15 @@
+import hashlib
 import io
+import json
 import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hypc.codebook import DirectionMode
 from hypc.codec import EncodeParams, decode_layer, encode_layer
 from hypc.container import (
     CompressedModel,
@@ -21,6 +25,9 @@ from hypc.container import (
     write_ntb,
 )
 from hypc.errors import FormatError
+
+V1_CORPUS = Path(__file__).parent / "data" / "hcmp_v1"
+V1_HASHES = json.loads((V1_CORPUS / "SHA256.json").read_text())
 
 
 def random_bundle(rng, max_tensors=5, max_elems=40) -> TensorBundle:
@@ -197,6 +204,17 @@ class TestHcmp:
         with pytest.raises(FormatError, match="num_points"):
             load_hcmp(bytes(blob))
 
+    @pytest.mark.parametrize("field, at", [("padded flag", 8), ("direction mode", 23)])
+    def test_bad_tag_error_names_its_offset(self, field, at):
+        enc = encode_layer(np.arange(4.0), "w", (4,))
+        blob = bytearray(dump_hcmp(CompressedModel([enc])))
+        # header(10) name(2+1) shape(1+8), then the fixed layer fields
+        offset = 10 + 3 + 9 + at
+        assert blob[offset] == 0
+        blob[offset] = 7
+        with pytest.raises(FormatError, match=f"bad {field} 7 at offset {offset}$"):
+            load_hcmp(bytes(blob))
+
     def test_payload_length_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         enc = encode_layer(rng.uniform(-1, 1, 10), "w", (10,), EncodeParams())
@@ -223,3 +241,27 @@ def test_written_files_follow_umask(tmp_path, umask, mode):
     for name in ("m.ntb", "m.hcmp"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.hcmp", "m.ntb"]
+
+
+class TestV1Corpus:
+    """Files written by the v1 code before the layer-record refactor; never regenerated."""
+
+    @pytest.mark.parametrize("name", sorted(V1_HASHES))
+    def test_bytes_and_decoded_values_are_frozen(self, name):
+        blob = (V1_CORPUS / name).read_bytes()
+        model = load_hcmp(blob)
+        assert dump_hcmp(model) == blob
+        decoded = {
+            layer.name: hashlib.sha256(decode_layer(layer).astype("<f8").tobytes()).hexdigest()
+            for layer in model.layers
+        }
+        assert decoded == V1_HASHES[name]
+
+    def test_corpus_covers_the_layer_fields(self):
+        layers = [l for name in V1_HASHES for l in read_hcmp(V1_CORPUS / name).layers]
+        assert {l.bit_width for l in layers} >= set(range(1, 21))
+        assert {l.config.num_points for l in layers} >= {1, 4, 225, 361, 4096, 65536}
+        assert {l.config.direction_mode for l in layers} == set(DirectionMode)
+        assert {0, 3, 15} <= {l.config.max_category for l in layers}
+        assert any(l.padded for l in layers)
+        assert any(l.element_count == 0 for l in layers)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from hypc.codec import EncodeParams, encode_layer
 from hypc.container import CompressedModel, Tensor, TensorBundle
 from hypc.errors import DataError, FormatError
 from hypc.inference import (
-    Activation,
     MlpLayer,
     MlpNetwork,
     bundle_to_network,
@@ -27,8 +28,7 @@ def random_network(rng, dims=(6, 5, 4, 3)) -> MlpNetwork:
     for i in range(len(dims) - 1):
         w = rng.normal(scale=0.4, size=(dims[i + 1], dims[i])).astype(np.float32)
         b = rng.normal(scale=0.1, size=dims[i + 1]).astype(np.float32)
-        act = Activation.IDENTITY if i == len(dims) - 2 else Activation.RELU
-        layers.append(MlpLayer(w, b, act))
+        layers.append(MlpLayer(w, b))
     return MlpNetwork(layers)
 
 
@@ -41,20 +41,20 @@ def compress_network(net, params=EncodeParams()) -> CompressedModel:
 
 class TestMlpForward:
     def test_identity_network(self):
-        net = MlpNetwork([MlpLayer(np.eye(3), np.zeros(3), Activation.IDENTITY)])
+        net = MlpNetwork([MlpLayer(np.eye(3), np.zeros(3))])
         x = np.arange(6, dtype=np.float32).reshape(2, 3)
         assert np.array_equal(mlp_forward(net, x), x)
 
     def test_zero_weights_emit_bias(self):
         bias = np.array([1.5, -2.0], dtype=np.float32)
-        net = MlpNetwork([MlpLayer(np.zeros((2, 3)), bias, Activation.IDENTITY)])
+        net = MlpNetwork([MlpLayer(np.zeros((2, 3)), bias)])
         out = mlp_forward(net, np.ones((4, 3), dtype=np.float32))
         assert np.array_equal(out, np.tile(bias, (4, 1)))
 
     def test_relu_hand_example(self):
         net = MlpNetwork([
-            MlpLayer(np.array([[1, 2], [3, 4]]), np.zeros(2), Activation.RELU),
-            MlpLayer(np.eye(2), np.zeros(2), Activation.IDENTITY),
+            MlpLayer(np.array([[1, 2], [3, 4]]), np.zeros(2)),
+            MlpLayer(np.eye(2), np.zeros(2)),
         ])
         out = mlp_forward(net, np.array([[1.0, 1.0]]))
         assert out.tolist() == [[3.0, 7.0]]
@@ -64,16 +64,12 @@ class TestMlpForward:
         with pytest.raises(ValueError):
             mlp_forward(net, np.zeros((2, 7), dtype=np.float32))
 
-    def test_final_layer_must_be_identity(self):
-        with pytest.raises(ValueError):
-            MlpNetwork([MlpLayer(np.eye(2), np.zeros(2), Activation.RELU)])
-
     def test_chain_validation(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
             MlpNetwork([
-                MlpLayer(rng.normal(size=(4, 3)), np.zeros(4), Activation.RELU),
-                MlpLayer(rng.normal(size=(2, 5)), np.zeros(2), Activation.IDENTITY),
+                MlpLayer(rng.normal(size=(4, 3)), np.zeros(4)),
+                MlpLayer(rng.normal(size=(2, 5)), np.zeros(2)),
             ])
 
 
@@ -84,7 +80,6 @@ class TestBundleConversion:
         for a, b in zip(net.layers, back.layers):
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.bias, b.bias)
-            assert a.activation == b.activation
 
     def test_unknown_tensor_name_rejected(self):
         bundle = TensorBundle([Tensor("stray", (2,), np.zeros(2))])
@@ -111,7 +106,7 @@ class TestPipelinedForward:
     def test_single_layer_degenerates(self):
         rng = np.random.default_rng(4)
         net = MlpNetwork([MlpLayer(rng.normal(size=(3, 5)).astype(np.float32),
-                                   np.zeros(3, np.float32), Activation.IDENTITY)])
+                                   np.zeros(3, np.float32))])
         model = compress_network(net)
         x = rng.normal(size=(2, 5)).astype(np.float32)
         out, trace = pipelined_forward(model, x, with_trace=True)
@@ -168,6 +163,54 @@ class TestPipelinedForward:
             pipelined_forward(CompressedModel(layers), np.zeros((1, 6), np.float32))
 
 
+def raised_within(seconds, call):
+    """Run call in a daemon thread and return what it raised; fail if it hangs."""
+    raised = []
+
+    def target():
+        try:
+            call()
+        except Exception as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"call still running after {seconds} s"
+    assert not [t for t in threading.enumerate() if t.name.startswith("hypc-decoder")]
+    return raised[0] if raised else None
+
+
+class TestPipelineErrors:
+    """A compute error must not leave the decoder blocked behind it."""
+
+    def test_wrong_width_batch(self):
+        model = compress_network(random_network(np.random.default_rng(9),
+                                                dims=(6, 5, 4, 3, 2)))
+        exc = raised_within(30, lambda: pipelined_forward(
+            model, np.zeros((1, 3), np.float32)))
+        assert isinstance(exc, ValueError)
+        assert str(exc).startswith("batch must be (n, 6)")
+
+    def test_layers_that_do_not_chain(self):
+        rng = np.random.default_rng(10)
+        shapes = [(5, 6), (4, 7), (3, 4), (2, 3)]  # layer1 expects 7 inputs, gets 5
+        layers = []
+        for i, (out, inp) in enumerate(shapes):
+            w = rng.normal(size=out * inp)
+            layers.append(encode_layer(w, f"layer{i}.weight", (out, inp)))
+            layers.append(encode_layer(rng.normal(size=out), f"layer{i}.bias", (out,)))
+        exc = raised_within(30, lambda: pipelined_forward(
+            CompressedModel(layers), np.zeros((1, 6), np.float32)))
+        assert isinstance(exc, ValueError)
+
+    def test_rank_zero_weight_is_a_data_error(self):
+        layers = [encode_layer([0.5], "layer0.weight", ()),
+                  encode_layer([0.1], "layer0.bias", (1,))]
+        with pytest.raises(DataError, match="rank"):
+            pipelined_forward(CompressedModel(layers), np.zeros((1, 1), np.float32))
+
+
 class TestToyProblem:
     def test_training_reaches_target_accuracy(self):
         net = train_toy(7)
@@ -176,8 +219,7 @@ class TestToyProblem:
 
     def test_constant_network_scores_half_on_balanced_data(self):
         ds = make_toy_dataset(0)
-        net = MlpNetwork([MlpLayer(np.zeros((2, 4)), np.array([0.3, 0.1]),
-                                   Activation.IDENTITY)])
+        net = MlpNetwork([MlpLayer(np.zeros((2, 4)), np.array([0.3, 0.1]))])
         assert eval_accuracy(net, ds.test_x, ds.test_y) == 0.5
 
     def test_eval_deterministic(self):
