@@ -2,8 +2,10 @@
 
 A codebook is the finite set of points ``tau(lam * a)`` for ``lam = 0 .. num_points-1``,
 where ``tau`` wraps coordinates into a square box centered on the layer's centroid and
-``a`` is the per-step direction vector. Lookups go through a k-d tree but are guaranteed
-to match an exhaustive scan, including the smallest-index rule on exact ties.
+``a`` is the per-step direction vector. Decoding only reads points by index
+(``cached_codebook``). The k-d tree exists only for encoding (``build_codebook``):
+its lookups are guaranteed to match an exhaustive scan, including the
+smallest-index rule on exact ties. scipy is imported when the first tree is built.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # Relative gap under which two candidate distances are re-checked exactly.
 _TIE_RTOL = 1e-9
@@ -123,14 +124,16 @@ def direction_vector(
 
 
 class Codebook:
-    """Immutable point set plus spatial index; safe for concurrent readers."""
+    """Read-only points plus the k-d tree the encoder's nearest lookup searches.
 
-    def __init__(self, config: CodebookConfig, points: np.ndarray):
+    Built only to encode (``build_codebook``); decoding reads the points alone.
+    Safe for concurrent readers.
+    """
+
+    def __init__(self, config: CodebookConfig, points: np.ndarray, tree):
         self.config = config
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        points.setflags(write=False)
         self.points = points
-        self._tree = cKDTree(points)
+        self._tree = tree
 
     def __len__(self) -> int:
         return len(self.points)
@@ -171,20 +174,33 @@ class Codebook:
         return cand[int(np.argmin(dsq))]
 
 
-def build_codebook(config: CodebookConfig) -> Codebook:
-    """Materialize the trajectory points for a config and index them.
+def _points(config: CodebookConfig) -> np.ndarray:
+    """The (num_points, 2) trajectory points, float64 and read-only.
 
-    Points are computed once in float64 and never recomputed per query, so an
-    encoded file decodes identically on any platform.
+    Points are computed once per codebook and never per query, so an encoded
+    file decodes identically on any platform.
     """
     direction = direction_vector(config.num_points, config.box_side, config.direction_mode)
     lam = np.arange(config.num_points, dtype=np.float64)
     raw = lam[:, None] * np.asarray(direction)
-    points = generalized_tau(raw, config)
-    return Codebook(config, points)
+    points = np.ascontiguousarray(generalized_tau(raw, config))
+    points.setflags(write=False)
+    return points
+
+
+def build_codebook(config: CodebookConfig) -> Codebook:
+    """Materialize the trajectory points for a config and index them for encoding.
+
+    The tree is built here, before the encoder allocates its per-pair arrays,
+    so scipy, which loads on the first call, does not load while those are alive.
+    """
+    from scipy.spatial import cKDTree
+
+    points = _points(config)
+    return Codebook(config, points, cKDTree(points))
 
 
 @lru_cache(maxsize=256)
-def cached_codebook(config: CodebookConfig) -> Codebook:
-    """Memoized build_codebook; decode paths reuse one codebook per layer config."""
-    return build_codebook(config)
+def cached_codebook(config: CodebookConfig) -> np.ndarray:
+    """Memoized read-only points; decoding reuses one array per layer config."""
+    return _points(config)

@@ -308,11 +308,10 @@ def decode_layer(enc: EncodedLayer) -> np.ndarray:
         raise FormatError(
             f"layer {enc.name!r} holds theta {int(theta.max())} >= bound {bound}"
         )
-    codebook = cached_codebook(enc.config)
     num_points = enc.config.num_points
     cats = theta // num_points
     lam = theta % num_points
-    pts = codebook.points[lam]
+    pts = cached_codebook(enc.config)[lam]
     scales = _scale_factors(
         cats, enc.config.box_side, enc.config.max_radius, enc.config.max_category
     )

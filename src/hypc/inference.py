@@ -103,6 +103,8 @@ def _collect_mlp_parts(names: list[str]) -> int:
         if not m:
             raise DataError(f"tensor {name!r} does not follow layer<i>.weight/bias naming")
         seen[(int(m.group(1)), m.group(2))] = None
+    if not seen:
+        raise DataError("model has no layers")
     count = 1 + max(i for i, _ in seen)
     expected = {(i, kind) for i in range(count) for kind in ("weight", "bias")}
     missing = expected - seen.keys()

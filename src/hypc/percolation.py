@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True)
@@ -86,6 +84,9 @@ def percolation_trial(spec: LatticeSpec) -> bool:
     Bonds open independently with probability p (open iff draw < p, so a fixed
     seed couples trials across different p). Connectivity is undirected.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     u, v = _edge_endpoints(spec.kernel, spec.width, spec.height)
     rng = np.random.default_rng(spec.seed)
     open_mask = rng.random(u.size) < spec.p

@@ -3,12 +3,20 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from hypc.cli import main
-from hypc.container import CompressedModel, read_hcmp, read_ntb, write_hcmp
+from hypc.container import (
+    CompressedModel,
+    TensorBundle,
+    read_hcmp,
+    read_ntb,
+    write_hcmp,
+    write_ntb,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -214,6 +222,22 @@ class TestErrors:
         assert result.stderr.startswith("error: batch must be (n, 6)")
         assert result.stderr.strip().count("\n") == 0
 
+    @pytest.mark.parametrize("suffix, flags", [
+        (".hcmp", []), (".hcmp", ["--pipeline"]), (".ntb", []),
+    ])
+    def test_empty_model_is_a_data_error(self, tmp_path, capsys, suffix, flags):
+        model = tmp_path / f"empty{suffix}"
+        csv = tmp_path / "d.csv"
+        if suffix == ".hcmp":
+            write_hcmp(CompressedModel([]), model)
+        else:
+            write_ntb(TensorBundle([]), model)
+        csv.write_text("x1,x2,label\n0,0,0\n")
+        code, out, err = run(capsys, "infer", "--model", str(model),
+                             "--data", str(csv), *flags)
+        assert code == 1 and out == ""
+        assert err == "error: model has no layers\n"
+
     def test_bad_direction_in_overrides(self, tmp_path, capsys):
         ntb = tmp_path / "m.ntb"
         run(capsys, "gen", "--layers", "4,2", "--seed", "0", "--output", str(ntb))
@@ -223,6 +247,43 @@ class TestErrors:
                            "--output", str(tmp_path / "o.hcmp"),
                            "--per-layer", str(overrides))
         assert code == 1 and "direction" in err
+
+
+# Runs in a fresh interpreter, so the modules it finds loaded are the ones
+# hypc itself imported.
+_SCIPY_PROBE = textwrap.dedent("""
+    import sys
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    import hypc, hypc.cli
+    assert not scipy_modules(), ("import", scipy_modules())
+    for argv in (
+        ["decompress", "--input", "m.hcmp", "--output", "back.ntb"],
+        ["eval", "--original", "m.ntb", "--restored", "back.ntb"],
+        ["infer", "--model", "m.hcmp", "--data", "d.csv", "--pipeline"],
+    ):
+        assert hypc.cli.main(argv) == 0
+        assert not scipy_modules(), (argv[0], scipy_modules())
+    assert hypc.cli.main(["compress", "--input", "m.ntb", "--output", "again.hcmp"]) == 0
+    assert "scipy.spatial" in sys.modules
+""")
+
+
+class TestImports:
+    def test_scipy_loads_only_to_encode(self, tmp_path, capsys):
+        ntb = tmp_path / "m.ntb"
+        hcmp = tmp_path / "m.hcmp"
+        run(capsys, "gen", "--layers", "4,3,2", "--seed", "0", "--output", str(ntb))
+        run(capsys, "compress", "--input", str(ntb), "--output", str(hcmp))
+        (tmp_path / "d.csv").write_text("x1,x2,x3,x4,label\n0.1,0.2,0.3,0.4,0\n"
+                                        "0.4,0.3,0.2,0.1,1\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path,
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "again.hcmp").read_bytes() == hcmp.read_bytes()
 
 
 class TestSeedFallback:

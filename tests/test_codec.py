@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypc.codebook import CodebookConfig, DirectionMode, build_codebook
+from hypc.codebook import CodebookConfig, DirectionMode, build_codebook, cached_codebook
 from hypc.codec import (
     EncodeParams,
     EncodedLayer,
@@ -296,6 +296,26 @@ class TestDecodeTheta:
         cfg = self.cfg(m=2, radius=0.4)  # bound = 12, the first index it rejects
         with pytest.raises(FormatError):
             self.decode_one(12, cfg)
+
+    @pytest.mark.parametrize("mode", list(DirectionMode))
+    def test_decode_reads_the_encoder_points(self, mode):
+        # Decoding reads memoized points without a tree; they must be the very
+        # points the encoder's k-d tree indexed.
+        weights = np.random.default_rng(int(mode)).normal(0.0, 0.2, size=301)
+        params = EncodeParams(num_points=361, max_category=4, direction_mode=mode)
+        enc = encode_layer(weights, "w", (301,), params)
+        cfg = enc.config
+        points = build_codebook(cfg).points
+        assert cached_codebook(cfg).tobytes() == points.tobytes()
+        assert not cached_codebook(cfg).flags.writeable
+        cats, lam = np.divmod(unpack_bits(enc.payload, enc.bit_width, enc.group_count),
+                              cfg.num_points)
+        assert cats.max() > 0  # some pairs lie outside the box
+        scales = np.array([scale_factor(int(c), cfg.box_side, cfg.max_radius,
+                                        cfg.max_category) for c in cats])
+        center = np.array(cfg.centroid)
+        want = (points[lam] - center) / scales[:, None] + center
+        assert decode_layer(enc).tobytes() == want.reshape(-1)[:301].tobytes()
 
     def test_decode_layer_rejects_out_of_range_theta(self):
         cfg = self.cfg()  # bound = 4, but 3 bits can hold up to 7

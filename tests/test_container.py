@@ -4,6 +4,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from hypc.container import (
 )
 from hypc.errors import FormatError
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 V1_CORPUS = Path(__file__).parent / "data" / "hcmp_v1"
 V1_HASHES = json.loads((V1_CORPUS / "SHA256.json").read_text())
 
@@ -265,3 +268,15 @@ class TestV1Corpus:
         assert {0, 3, 15} <= {l.config.max_category for l in layers}
         assert any(l.padded for l in layers)
         assert any(l.element_count == 0 for l in layers)
+
+
+def test_mutated_files_load_or_raise_format_error(tmp_path):
+    # One process under a 2 GiB address-space cap runs 1,000 hypothesis
+    # mutations of the v1 corpus and a small NTB (see mutate_loaders.py).
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("mutate_loaders.py")), "1000"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

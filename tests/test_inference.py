@@ -211,6 +211,18 @@ class TestPipelineErrors:
             pipelined_forward(CompressedModel(layers), np.zeros((1, 1), np.float32))
 
 
+class TestEmptyModel:
+    def test_empty_hcmp(self):
+        with pytest.raises(DataError, match="model has no layers"):
+            model_to_network(CompressedModel([]))
+        with pytest.raises(DataError, match="model has no layers"):
+            pipelined_forward(CompressedModel([]), np.zeros((1, 2), np.float32))
+
+    def test_empty_ntb(self):
+        with pytest.raises(DataError, match="model has no layers"):
+            bundle_to_network(TensorBundle([]))
+
+
 class TestToyProblem:
     def test_training_reaches_target_accuracy(self):
         net = train_toy(7)
