@@ -200,7 +200,8 @@ def build_codebook(config: CodebookConfig) -> Codebook:
     return Codebook(config, points, cKDTree(points))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def cached_codebook(config: CodebookConfig) -> np.ndarray:
-    """Memoized read-only points; decoding reuses one array per layer config."""
+    """Memoized read-only points. Decoding asks with the centroid at box_side/2,
+    so one un-offset array serves all layers with the same U, side and mode."""
     return _points(config)

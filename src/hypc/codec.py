@@ -12,7 +12,7 @@ indices; the reference path doubles as the slow arm of the speed ablation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .codebook import (
     Codebook,
     CodebookConfig,
     DirectionMode,
+    _points,
     build_codebook,
     cached_codebook,
 )
@@ -226,7 +227,7 @@ def _encode_thetas(
 
 
 def _reference_thetas(
-    points: np.ndarray, config: CodebookConfig, codebook: Codebook
+    points: np.ndarray, config: CodebookConfig, codebook_points: np.ndarray
 ) -> np.ndarray:
     """Per-group scalar arithmetic and an exhaustive scan, first minimum on ties.
 
@@ -235,7 +236,7 @@ def _reference_thetas(
     num_points = config.num_points
     box, radius, rings = config.box_side, config.max_radius, config.max_category
     cx, cy = config.centroid
-    pts = codebook.points.tolist()
+    pts = codebook_points.tolist()
     theta = np.empty(len(points), dtype=np.int64)
     for g, (px, py) in enumerate(points.tolist()):
         cat = categorize((px, py), (cx, cy), radius, box, rings)
@@ -285,11 +286,10 @@ def encode_layer(
         params.box_side, params.num_points, params.max_category,
         params.direction_mode, centroid, max_radius,
     )
-    codebook = build_codebook(config)
     if reference:
-        theta = _reference_thetas(points, config, codebook)
+        theta = _reference_thetas(points, config, _points(config))
     else:
-        theta = _encode_thetas(points, dists, config, codebook)
+        theta = _encode_thetas(points, dists, config, build_codebook(config))
     bit_width = max(1, int(theta.max()).bit_length())
     payload = pack_bits(theta, bit_width)
     return EncodedLayer(
@@ -303,20 +303,23 @@ def decode_layer(enc: EncodedLayer) -> np.ndarray:
     if groups == 0:
         return np.zeros(0, dtype=np.float64)
     theta = unpack_bits(enc.payload, enc.bit_width, groups)
-    bound = enc.config.theta_bound
+    cfg = enc.config
+    bound = cfg.theta_bound
     if int(theta.max()) >= bound:
         raise FormatError(
             f"layer {enc.name!r} holds theta {int(theta.max())} >= bound {bound}"
         )
-    num_points = enc.config.num_points
-    cats = theta // num_points
-    lam = theta % num_points
-    pts = cached_codebook(enc.config)[lam]
-    scales = _scale_factors(
-        cats, enc.config.box_side, enc.config.max_radius, enc.config.max_category
-    )
-    center = np.array(enc.config.centroid)
-    restored = (pts - center) / scales[:, None] + center
+    cats, lam = np.divmod(theta, cfg.num_points)
+    half = cfg.box_side / 2.0
+    wrapped = cached_codebook(replace(cfg, centroid=(half, half), max_category=0, max_radius=0.0))
+    scales = _scale_factors(cats, cfg.box_side, cfg.max_radius, cfg.max_category)
+    center = np.array(cfg.centroid)
+    # In place, the float operations of _points and then (p - center) / scales + center.
+    restored = np.take(wrapped, lam, axis=0)
+    restored += center - half
+    restored -= center
+    restored /= scales[:, None]
+    restored += center
     return restored.reshape(-1)[: enc.element_count]
 
 
@@ -331,9 +334,13 @@ def pack_bits(values, bit_width: int) -> bytes:
     hi = int(arr.max())
     if lo < 0 or hi >= (1 << bit_width):
         raise ValueError(f"value {lo if lo < 0 else hi} does not fit in {bit_width} bits")
-    arr = arr.astype(np.uint64).reshape(-1)
-    bits = ((arr[:, None] >> np.arange(bit_width, dtype=np.uint64)) & np.uint64(1))
-    return np.packbits(bits.astype(np.uint8).ravel(), bitorder="little").tobytes()
+    # Shifted by its offset in 32-bit word bitpos >> 5, a value spans at most 63
+    # bits; values never share a bit, so the float64 sums over words are exact ORs.
+    bitpos = np.arange(arr.size, dtype=np.int64) * bit_width
+    shifted = arr.astype(np.int64, copy=False).reshape(-1) << (bitpos & 31)
+    words = np.bincount((bitpos >> 5) + 1, weights=shifted >> 32)
+    words[:-1] += np.bincount(bitpos >> 5, weights=shifted & 0xFFFFFFFF)
+    return words.astype("<u4").tobytes()[: (arr.size * bit_width + 7) // 8]
 
 
 def unpack_bits(data: bytes, bit_width: int, count: int) -> np.ndarray:
@@ -347,10 +354,11 @@ def unpack_bits(data: bytes, bit_width: int, count: int) -> np.ndarray:
         raise FormatError(f"payload holds {len(data)} bytes, need {need}")
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    raw = np.frombuffer(data, dtype=np.uint8, count=need)
-    bits = np.unpackbits(raw, bitorder="little", count=count * bit_width)
-    weights = np.arange(bit_width, dtype=np.uint64)
-    vals = (bits.reshape(count, bit_width).astype(np.uint64) << weights).sum(
-        axis=1, dtype=np.uint64
-    )
-    return vals.astype(np.int64)
+    # A value starts at most 7 bits into the 8-byte window at its first byte and
+    # spans at most 39 bits; 8 zero bytes of padding keep every window in bounds.
+    windows = np.ndarray((need,), "<u8", buffer=bytes(data[:need]) + bytes(8), strides=(1,))
+    bitpos = np.arange(count, dtype=np.int64) * bit_width
+    vals = windows[bitpos >> 3]
+    vals >>= (bitpos & 7).view(np.uint64)
+    vals &= np.uint64((1 << bit_width) - 1)
+    return vals.view(np.int64)

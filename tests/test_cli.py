@@ -286,6 +286,21 @@ class TestImports:
         assert (tmp_path / "again.hcmp").read_bytes() == hcmp.read_bytes()
 
 
+    def test_reference_encode_loads_no_scipy(self):
+        # The reference arm scans the points exhaustively and needs no k-d tree.
+        probe = textwrap.dedent("""
+            import sys
+            from hypc.codec import encode_layer
+            encode_layer([0.1, -0.2, 0.3, 0.05, 0.7], "w", (5,), reference=True)
+            loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+            assert not loaded, loaded
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+
 class TestSeedFallback:
     def test_env_seed_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HYPC_SEED", "9")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,73 @@ class TestPackBits:
         assert unpack_bits(pack_bits(values, width), width, len(values)).tolist() == values
 
 
+def matrix_pack(values, bit_width: int) -> bytes:
+    """The bit-matrix packer hypc used before word-level packing: an oracle."""
+    arr = np.asarray(values).astype(np.uint64).reshape(-1)
+    bits = (arr[:, None] >> np.arange(bit_width, dtype=np.uint64)) & np.uint64(1)
+    return np.packbits(bits.astype(np.uint8).ravel(), bitorder="little").tobytes()
+
+
+def matrix_unpack(data: bytes, bit_width: int, count: int) -> np.ndarray:
+    """The bit-matrix unpacker hypc used before word-level unpacking: an oracle."""
+    raw = np.frombuffer(data, dtype=np.uint8, count=(count * bit_width + 7) // 8)
+    bits = np.unpackbits(raw, bitorder="little", count=count * bit_width)
+    weights = np.arange(bit_width, dtype=np.uint64)
+    vals = (bits.reshape(count, bit_width).astype(np.uint64) << weights).sum(
+        axis=1, dtype=np.uint64
+    )
+    return vals.astype(np.int64)
+
+
+class TestPackBitsOracle:
+    LENGTHS = (1, 7, 8, 9, 63, 64, 65, 4097)
+
+    @pytest.mark.parametrize("width", range(1, 33))
+    def test_matches_the_bit_matrix(self, width):
+        rng = np.random.default_rng(width)
+        top = (1 << width) - 1
+        for count in self.LENGTHS:
+            for values in (rng.integers(0, top + 1, size=count), np.full(count, top)):
+                data = pack_bits(values, width)
+                assert data == matrix_pack(values, width), count
+                unpacked = unpack_bits(data, width, count)
+                assert unpacked.dtype == np.int64
+                assert np.array_equal(unpacked, values), count
+                assert np.array_equal(unpacked, matrix_unpack(data, width, count))
+
+    @pytest.mark.parametrize("width,count", [(1, 8), (3, 8), (8, 5), (20, 2), (32, 3), (12, 66)])
+    def test_payload_ending_on_its_last_bit(self, width, count):
+        # count * width fills whole bytes: the last value ends on the final bit,
+        # and the unpacker must read nothing past it.
+        assert count * width % 8 == 0
+        values = np.full(count, (1 << width) - 1)
+        data = pack_bits(values, width)
+        assert data == b"\xff" * (count * width // 8)
+        assert np.array_equal(unpack_bits(bytearray(data), width, count), values)
+
+    @pytest.mark.parametrize("width", [1, 5, 17, 31, 32])
+    def test_trailing_bytes_ignored(self, width):
+        values = np.random.default_rng(width).integers(0, 1 << width, size=65)
+        data = pack_bits(values, width)
+        for tail in (b"\xff", b"\xff" * 9, bytes(range(256))):
+            assert np.array_equal(unpack_bits(data + tail, width, 65), values)
+
+    def test_unpack_peak_memory(self):
+        # As many values as the reference model has pairs; the bit-matrix
+        # unpacker peaked near 180 MB on them.
+        count = 554_854
+        values = np.random.default_rng(0).integers(0, 1 << 20, size=count)
+        data = pack_bits(values, 20)
+        tracemalloc.start()
+        try:
+            unpacked = unpack_bits(data, 20, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(unpacked, values)
+        assert peak < 40e6, peak
+
+
 class TestEncodeDecode:
     def test_constant_layer(self):
         weights = np.full(1000, 0.5)
@@ -316,6 +384,24 @@ class TestDecodeTheta:
         center = np.array(cfg.centroid)
         want = (points[lam] - center) / scales[:, None] + center
         assert decode_layer(enc).tobytes() == want.reshape(-1)[:301].tobytes()
+
+    def test_layers_with_one_codebook_share_a_cache_entry(self):
+        # Twelve layers differ only in their centroid, so their U = 2^20
+        # codebooks are one set of wrapped points shifted twelve ways.
+        u = 1 << 20
+        cached_codebook.cache_clear()
+        layers = [
+            EncodedLayer("w", (2,), 2, False,
+                         CodebookConfig(0.1, u, 0, GRID, (0.01 * i, -0.02 * i), 0.0),
+                         20, pack_bits([12345 + i], 20), 0.0)
+            for i in range(12)
+        ]
+        decoded = [decode_layer(layer) for layer in layers]
+        assert cached_codebook.cache_info().currsize == 1
+        for i, (layer, pair) in enumerate(zip(layers, decoded)):
+            center = np.array(layer.config.centroid)
+            want = (cached_codebook(layer.config)[12345 + i] - center) / 1.0 + center
+            assert pair.tobytes() == want.tobytes()
 
     def test_decode_layer_rejects_out_of_range_theta(self):
         cfg = self.cfg()  # bound = 4, but 3 bits can hold up to 7

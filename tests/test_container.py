@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from hypc.codebook import DirectionMode
-from hypc.codec import EncodeParams, decode_layer, encode_layer
+from hypc.codec import EncodeParams, decode_layer, encode_layer, pack_bits, unpack_bits
 from hypc.container import (
     CompressedModel,
     Tensor,
@@ -27,6 +28,8 @@ from hypc.container import (
     write_ntb,
 )
 from hypc.errors import FormatError
+
+import hcmp_v1_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 V1_CORPUS = Path(__file__).parent / "data" / "hcmp_v1"
@@ -268,6 +271,43 @@ class TestV1Corpus:
         assert {0, 3, 15} <= {l.config.max_category for l in layers}
         assert any(l.padded for l in layers)
         assert any(l.element_count == 0 for l in layers)
+
+
+class TestSpecReader:
+    """hypc's loader and unpack_bits against a reader written from the README."""
+
+    def test_reader_imports_only_the_standard_library(self):
+        tree = ast.parse(Path(hcmp_v1_spec.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert imported == {"__future__", "struct"}
+
+    @pytest.mark.parametrize("name", sorted(V1_HASHES))
+    def test_corpus_payloads_unpack_alike(self, name):
+        blob = (V1_CORPUS / name).read_bytes()
+        spec_layers = hcmp_v1_spec.read_layers(blob)
+        layers = load_hcmp(blob).layers
+        assert [s["name"] for s in spec_layers] == [l.name for l in layers]
+        for spec, layer in zip(spec_layers, layers):
+            assert spec["shape"] == layer.shape
+            assert spec["element_count"] == layer.element_count
+            assert spec["bit_width"] == layer.bit_width
+            assert spec["num_points"] == layer.config.num_points
+            assert spec["payload"] == layer.payload
+            theta = unpack_bits(layer.payload, layer.bit_width, layer.group_count)
+            assert theta.tolist() == spec["values"], layer.name
+
+    @pytest.mark.parametrize("width", range(1, 33))
+    def test_random_widths_unpack_alike(self, width):
+        rng = np.random.default_rng(width)
+        for count in (1, 5, 8, 67):
+            values = rng.integers(0, 1 << width, size=count)
+            payload = pack_bits(values, width)
+            spec = hcmp_v1_spec.unpack_values(payload, width, count)
+            assert spec == values.tolist()
+            assert unpack_bits(payload, width, count).tolist() == spec
 
 
 def test_mutated_files_load_or_raise_format_error(tmp_path):
