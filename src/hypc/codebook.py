@@ -3,9 +3,10 @@
 A codebook is the finite set of points ``tau(lam * a)`` for ``lam = 0 .. num_points-1``,
 where ``tau`` wraps coordinates into a square box centered on the layer's centroid and
 ``a`` is the per-step direction vector. Decoding only reads points by index
-(``cached_codebook``). The k-d tree exists only for encoding (``build_codebook``):
-its lookups are guaranteed to match an exhaustive scan, including the
-smallest-index rule on exact ties. scipy is imported when the first tree is built.
+(``cached_codebook``). Encoding (``build_codebook``) sorts the points into their
+horizontal rows and sweeps those rows outward from each query: its lookups equal
+an exhaustive scan, including the smallest-index rule on exact ties. Nothing here
+needs scipy.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Relative gap under which two candidate distances are re-checked exactly.
-_TIE_RTOL = 1e-9
+# Queries per block of the nearest lookup: bounds its temporaries (a few MB).
+_QUERY_BLOCK = 1 << 15
 # Largest codebook a config may name: bounds the memory a decoder allocates
 # (16 MB of float64 points) for any num_points read from a file.
 MAX_NUM_POINTS = 1 << 20
@@ -124,16 +125,30 @@ def direction_vector(
 
 
 class Codebook:
-    """Read-only points plus the k-d tree the encoder's nearest lookup searches.
+    """Read-only points plus the row index the encoder's nearest lookup sweeps.
 
-    Built only to encode (``build_codebook``); decoding reads the points alone.
-    Safe for concurrent readers.
+    The points lie on ``isqrt(U) + 1`` horizontal rows: row ``r`` near
+    ``y_lo + r * l / isqrt(U)``, where the top row holds the bottom-row points
+    that ``np.mod`` rounded up to ``y ~ l``. The points are sorted by
+    (row, x, index); each non-empty row keeps its start offset and its stored
+    minimum and maximum y. Built only to encode (``build_codebook``); decoding
+    reads the points alone. Safe for concurrent readers.
     """
 
-    def __init__(self, config: CodebookConfig, points: np.ndarray, tree):
+    def __init__(self, config: CodebookConfig, points: np.ndarray):
         self.config = config
         self.points = points
-        self._tree = tree
+        root = math.isqrt(config.num_points)
+        rows = np.rint((points[:, 1] - config.box[2]) / (config.box_side / root))
+        self._order = np.lexsort((np.arange(len(points)), points[:, 0], rows))
+        # One +inf past the end keeps the binary search's probes in bounds.
+        self._x = np.append(points[self._order, 0], np.inf)
+        self._y = points[self._order, 1]
+        sorted_rows = rows[self._order]
+        self._starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1], True])
+        self._y_min = np.minimum.reduceat(self._y, self._starts[:-1])
+        self._y_max = np.maximum.reduceat(self._y, self._starts[:-1])
+        self._depth = int(np.diff(self._starts).max()).bit_length()
 
     def __len__(self) -> int:
         return len(self.points)
@@ -141,37 +156,97 @@ class Codebook:
     def nearest_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized nearest: (indices, distances) for an (n, 2) query array.
 
-        Matches an exhaustive argmin over the points exactly: candidate pairs whose
-        k-d distances are within _TIE_RTOL of each other are re-ranked by the same
-        squared-distance arithmetic a linear scan would use.
+        Equals an exhaustive argmin of ``dx*dx + dy*dy`` over the points,
+        smallest index on ties. Queries run in blocks of ``_QUERY_BLOCK`` so
+        the sweep's temporaries stay bounded.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != 2:
             raise ValueError(f"queries must be (n, 2), got {queries.shape}")
         if not np.all(np.isfinite(queries)):
             raise ValueError("queries must be finite")
-        n = len(queries)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        if len(self.points) == 1:
-            idx = np.zeros(n, dtype=np.int64)
-        else:
-            kd_dist, kd_idx = self._tree.query(queries, k=2)
-            idx = kd_idx[:, 0].astype(np.int64)
-            close = kd_dist[:, 1] - kd_dist[:, 0] <= _TIE_RTOL * (kd_dist[:, 0] + 1e-300)
-            for i in np.nonzero(close)[0]:
-                idx[i] = self._resolve_near_tie(queries[i], kd_dist[i, 0])
-        diff = self.points[idx] - queries
-        dist = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
-        return idx, dist
+        idx = np.empty(len(queries), dtype=np.int64)
+        dsq = np.empty(len(queries), dtype=np.float64)
+        for lo in range(0, len(queries), _QUERY_BLOCK):
+            block = slice(lo, lo + _QUERY_BLOCK)
+            idx[block], dsq[block] = self._sweep(queries[block, 0], queries[block, 1])
+        return idx, np.sqrt(dsq, out=dsq)
 
-    def _resolve_near_tie(self, q: np.ndarray, kd_dist: float) -> int:
-        # All points at the true minimum distance lie inside this inflated ball.
-        radius = kd_dist * (1.0 + _TIE_RTOL) + 1e-300
-        cand = sorted(self._tree.query_ball_point(q, radius))
-        pts = self.points[cand]
-        dsq = (pts[:, 0] - q[0]) ** 2 + (pts[:, 1] - q[1]) ** 2
-        return cand[int(np.argmin(dsq))]
+    def _sweep(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        best = np.full(len(qx), np.inf)
+        arg = np.zeros(len(qx), dtype=np.int64)
+        last = len(self._y_min) - 1
+        start = np.clip(np.searchsorted(self._y_min, qy, side="right") - 1, 0, last)
+        above = np.minimum(start + 1, last)
+        start = np.where(self._y_min[above] - qy < qy - self._y_max[start], above, start)
+        everyone = np.arange(len(qx))
+        self._visit(qx, qy, everyone, start, best, arg)
+        for step in (-1, 1):
+            sel, row = everyone, start + step
+            while True:
+                inside = (row >= 0) & (row <= last)
+                sel, row = sel[inside], row[inside]
+                # Every point of this row and of the rows past it is at least
+                # gap away in y, and float rounding is monotone, so its scanned
+                # distance is at least gap*gap: a side stops once that exceeds
+                # the best distance so far.
+                near = self._gap_sq(qy[sel], row) <= best[sel]
+                sel, row = sel[near], row[near]
+                if not sel.size:
+                    break
+                self._visit(qx, qy, sel, row, best, arg)
+                row += step
+        return arg, best
+
+    def _gap_sq(self, y: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Squared y-distance from each query to the stored y range of its row."""
+        gap = np.maximum(self._y_min[row] - y, y - self._y_max[row])
+        np.maximum(gap, 0.0, out=gap)
+        return gap * gap
+
+    def _visit(
+        self,
+        qx: np.ndarray,
+        qy: np.ndarray,
+        sel: np.ndarray,
+        row: np.ndarray,
+        best: np.ndarray,
+        arg: np.ndarray,
+    ) -> None:
+        """Fold the points of rows ``row`` into queries ``sel``'s best (dsq, index).
+
+        A binary search finds the query's x in its row; the scan then walks out
+        from there on both sides while ``dx*dx + gap*gap``, a lower bound on the
+        next point's scanned distance, does not exceed the best distance.
+        """
+        x, y = qx[sel], qy[sel]
+        begin, end = self._starts[row], self._starts[row + 1]
+        gap_sq = self._gap_sq(y, row)
+        lo, hi = begin, end
+        for _ in range(self._depth):  # first position in [begin, end] with x >= query x
+            mid = (lo + hi) >> 1
+            right = (lo < hi) & (self._x[mid] < x)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        for step, cand in ((-1, lo - 1), (1, lo)):
+            walk = np.flatnonzero((cand >= begin) & (cand < end))
+            cand = cand[walk]
+            while walk.size:
+                dx = self._x[cand] - x[walk]
+                dx *= dx
+                held = best[sel[walk]]
+                near = dx + gap_sq[walk] <= held
+                walk, cand, dx, held = walk[near], cand[near], dx[near], held[near]
+                dy = self._y[cand] - y[walk]
+                dsq = dx + dy * dy
+                index = self._order[cand]
+                at = sel[walk]
+                win = (dsq < held) | ((dsq == held) & (index < arg[at]))
+                best[at[win]] = dsq[win]
+                arg[at[win]] = index[win]
+                cand += step
+                inside = (cand >= begin[walk]) & (cand < end[walk])
+                walk, cand = walk[inside], cand[inside]
 
 
 def _points(config: CodebookConfig) -> np.ndarray:
@@ -189,15 +264,8 @@ def _points(config: CodebookConfig) -> np.ndarray:
 
 
 def build_codebook(config: CodebookConfig) -> Codebook:
-    """Materialize the trajectory points for a config and index them for encoding.
-
-    The tree is built here, before the encoder allocates its per-pair arrays,
-    so scipy, which loads on the first call, does not load while those are alive.
-    """
-    from scipy.spatial import cKDTree
-
-    points = _points(config)
-    return Codebook(config, points, cKDTree(points))
+    """Materialize the trajectory points for a config and index them by row for encoding."""
+    return Codebook(config, _points(config))
 
 
 @lru_cache(maxsize=16)

@@ -215,7 +215,7 @@ def _plan_from_distances(dists: np.ndarray, config: CodebookConfig) -> ScalePlan
 def _encode_thetas(
     points: np.ndarray, dists: np.ndarray, config: CodebookConfig, codebook: Codebook
 ) -> np.ndarray:
-    """Whole-array ring plan, rescale and k-d tree lookup.
+    """Whole-array ring plan, rescale and row-sweep nearest lookup.
 
     A function of its own so the (G, 2) temporaries are freed before packing.
     """
@@ -266,7 +266,7 @@ def encode_layer(
 ) -> EncodedLayer:
     """Compress one tensor into an EncodedLayer.
 
-    ``reference=True`` swaps the whole-array arithmetic and k-d tree lookup for
+    ``reference=True`` swaps the whole-array arithmetic and row-sweep lookup for
     the per-group scalar path with an exhaustive scan; both return
     byte-identical payloads.
     """

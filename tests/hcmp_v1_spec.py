@@ -1,9 +1,10 @@
 """An HCMP version-1 reader written only from the README's "File formats" section.
 
-It imports nothing from hypc, so the tests can hold hypc's loader and bit
-unpacker against an independent reading of the format. Payloads are unpacked
-one bit at a time: LSB-first within each byte, values laid down consecutively
-with no per-value padding, the final byte zero-padded.
+It imports nothing from hypc, so the tests can hold hypc's loader, bit
+unpacker and decoder against an independent reading of the format. Payloads
+are unpacked one bit at a time: LSB-first within each byte, values laid down
+consecutively with no per-value padding, the final byte zero-padded. Weights
+are decoded one float operation at a time, by the README's numbered steps.
 """
 
 from __future__ import annotations
@@ -60,3 +61,34 @@ def read_layers(blob: bytes) -> list[dict]:
     if pos != len(blob):
         raise ValueError(f"{len(blob) - pos} trailing bytes")
     return layers
+
+
+def _isqrt(n: int) -> int:
+    root = int(n ** 0.5)
+    while root * root > n:
+        root -= 1
+    while (root + 1) * (root + 1) <= n:
+        root += 1
+    return root
+
+
+def decode_weights(layer: dict) -> list[float]:
+    """A layer record's weights as floats, by the README's decoding steps 1-6."""
+    side, count, rings = layer["box_side"], layer["num_points"], layer["max_category"]
+    root = _isqrt(count)
+    if layer["direction_mode"] == 0:
+        direction = (side / count, side / root)
+    else:
+        direction = (side / (count * root), side / root)
+    half = side / 2
+    weights = []
+    for value in layer["values"]:
+        ring, index = divmod(value, count)
+        scale = 1.0 if rings == 0 else half / (half + layer["max_radius"] / rings * ring)
+        for step, center in zip(direction, layer["centroid"]):
+            coord = (index * step) % side
+            if coord >= side:
+                coord = 0.0
+            coord += center - half
+            weights.append((coord - center) / scale + center)
+    return weights[:layer["element_count"]]

@@ -116,7 +116,7 @@ def test_c03_tree_matches_exhaustive_scan():
         dsq = ((queries[:, None, :] - cb.points[None, :, :]) ** 2).sum(axis=2)
         want = np.argmin(dsq, axis=1)
         mismatches += int((got != want).sum())
-    check(3, "tree search equals exhaustive scan for U in {4,225,361,4096}",
+    check(3, "nearest lookup equals exhaustive scan for U in {4,225,361,4096}",
           mismatches == 0, f"{mismatches} mismatches over 40000 queries")
 
 

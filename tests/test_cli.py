@@ -126,6 +126,29 @@ class TestPerc:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_reader_exits_quietly(self, tmp_path, capsys, unbuffered):
+        ntb = tmp_path / "m.ntb"
+        hcmp = tmp_path / "m.hcmp"
+        run(capsys, "gen", "--layers", "4,3,2", "--seed", "0", "--output", str(ntb))
+        run(capsys, "compress", "--input", str(ntb), "--output", str(hcmp))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        # The read end is closed before the child starts, so its first write
+        # to stdout fails with EPIPE, as under `hypc inspect m.hcmp | head -c 0`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "hypc.cli", "inspect", str(hcmp)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, "")
+
     def test_missing_file_is_one_stderr_line(self, tmp_path, capsys):
         code, out, err = run(capsys, "inspect", str(tmp_path / "nope.hcmp"))
         assert code == 1
@@ -267,12 +290,13 @@ _SCIPY_PROBE = textwrap.dedent("""
         assert hypc.cli.main(argv) == 0
         assert not scipy_modules(), (argv[0], scipy_modules())
     assert hypc.cli.main(["compress", "--input", "m.ntb", "--output", "again.hcmp"]) == 0
-    assert "scipy.spatial" in sys.modules
+    assert not scipy_modules(), ("compress", scipy_modules())
 """)
 
 
 class TestImports:
     def test_scipy_loads_only_to_encode(self, tmp_path, capsys):
+        # No codec subcommand loads scipy, compress included; only perc does.
         ntb = tmp_path / "m.ntb"
         hcmp = tmp_path / "m.hcmp"
         run(capsys, "gen", "--layers", "4,3,2", "--seed", "0", "--output", str(ntb))
@@ -287,7 +311,7 @@ class TestImports:
 
 
     def test_reference_encode_loads_no_scipy(self):
-        # The reference arm scans the points exhaustively and needs no k-d tree.
+        # The reference arm scans the points exhaustively.
         probe = textwrap.dedent("""
             import sys
             from hypc.codec import encode_layer

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,43 @@ def exhaustive_nearest(points: np.ndarray, q) -> tuple[int, float]:
     dsq = (points[:, 0] - q[0]) ** 2 + (points[:, 1] - q[1]) ** 2
     idx = int(np.argmin(dsq))
     return idx, float(np.sqrt(dsq[idx]))
+
+
+def exhaustive_argmin(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Vectorized twin of exhaustive_nearest: the first minimum of dx*dx + dy*dy."""
+    out = np.empty(len(queries), dtype=np.int64)
+    chunk = max(1, (1 << 21) // len(points))
+    for lo in range(0, len(queries), chunk):
+        q = queries[lo:lo + chunk]
+        dx = points[None, :, 0] - q[:, 0:1]
+        dy = points[None, :, 1] - q[:, 1:2]
+        out[lo:lo + chunk] = np.argmin(dx * dx + dy * dy, axis=1)
+    return out
+
+
+def point_rows(cfg, points: np.ndarray) -> np.ndarray:
+    """Row r of each point, y ~ y_lo + r * l / isqrt(U); r = isqrt(U) holds the
+    bottom-row points that np.mod rounded up to the top of the box."""
+    step = cfg.box_side / math.isqrt(cfg.num_points)
+    return np.rint((points[:, 1] - cfg.box[2]) / step).astype(np.int64)
+
+
+def near_tie_queries(cfg, points: np.ndarray, rng, cap: int) -> np.ndarray:
+    """Uniform queries out to 100 box sides, the points themselves, and midpoints
+    between x-neighbours in a row and y-neighbours in adjacent rows; at most
+    ``cap`` of each kind."""
+    rows = point_rows(cfg, points)
+    order = np.lexsort((points[:, 0], rows))
+    p, r = points[order], rows[order]
+    x_mids = ((p[1:] + p[:-1]) / 2)[r[1:] == r[:-1]]
+    y_mids = [points[:0]]
+    occupied = np.unique(r)
+    for lower, upper in zip(occupied[:-1], occupied[1:]):
+        a, b = p[r == lower], p[r == upper]
+        y_mids.append((a + b[exhaustive_argmin(b, a)]) / 2)
+    uniform = rng.uniform(-100, 100, size=(cap, 2)) * cfg.box_side + np.array(cfg.centroid)
+    kinds = [uniform, points, x_mids, np.vstack(y_mids)]
+    return np.vstack([k[rng.permutation(len(k))[:cap]] for k in kinds])
 
 
 def config(side=0.1, u=225, m=0, mode=GRID, centroid=(0.5, 0.5), radius=0.0):
@@ -185,6 +223,77 @@ class TestNearest:
             samples = rng.uniform(-side / 2, side / 2, size=(20_000, 2))
             _, dist = cb.nearest_many(samples)
             assert dist.max() <= math.sqrt(2) * side / math.isqrt(u)
+
+    @pytest.mark.parametrize("mode", [GRID, PAPER])
+    def test_sweep_matches_exhaustive_scan_small_u(self, mode):
+        rng = np.random.default_rng(int(mode))
+        for u in range(1, 401):
+            cb = build_codebook(config(u=u, mode=mode, centroid=(0.2, -0.1)))
+            queries = near_tie_queries(cb.config, cb.points, rng, cap=200)
+            idx, _ = cb.nearest_many(queries)
+            assert (idx == exhaustive_argmin(cb.points, queries)).all(), u
+
+    @pytest.mark.parametrize("u", [529, 1000, 1024, 2047, 4096, 65536])
+    @pytest.mark.parametrize("mode", [GRID, PAPER])
+    def test_sweep_matches_exhaustive_scan_large_u(self, u, mode):
+        cb = build_codebook(config(u=u, mode=mode, centroid=(0.2, -0.1)))
+        queries = near_tie_queries(cb.config, cb.points, np.random.default_rng(u), cap=600)
+        idx, dist = cb.nearest_many(queries)
+        want = exhaustive_argmin(cb.points, queries)
+        assert (idx == want).all()
+        diff = cb.points[want] - queries
+        assert dist.tobytes() == np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2).tobytes()
+
+    @pytest.mark.parametrize("u", [4, 9, 16, 64])
+    @pytest.mark.parametrize("mode", [GRID, PAPER])
+    def test_exact_ties_across_rows(self, u, mode):
+        # With side 0.5 every point and every query on a 1/256 grid is exactly
+        # representable, so many queries tie between points of different rows,
+        # some at a y-gap equal to the best distance found so far.
+        cb = build_codebook(config(side=0.5, u=u, mode=mode))
+        grid = np.arange(-64, 321) / 256
+        queries = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+        idx, _ = cb.nearest_many(queries)
+        assert (idx == exhaustive_argmin(cb.points, queries)).all()
+
+    @pytest.mark.parametrize("u", [225, 361, 1000, 4096, 65536])
+    @pytest.mark.parametrize("mode", [GRID, PAPER])
+    def test_points_moved_to_the_top_row(self, u, mode):
+        cfg = config(u=u, mode=mode, centroid=(0.2, -0.1))
+        cb = build_codebook(cfg)
+        root = math.isqrt(u)
+        rows = point_rows(cfg, cb.points)
+        moved = cb.points[rows == root]
+        assert len(moved) > 0  # np.mod leaves some bottom-row points at y ~ l
+        below = cb.points[rows == root - 1]
+        nearest_below = below[exhaustive_argmin(below, moved)]
+        bottom = cb.points[rows == 0]
+        twin = bottom[exhaustive_argmin(bottom, moved - np.array([0.0, cfg.box_side]))]
+        rng = np.random.default_rng(u)
+        step = cfg.box_side / root
+        queries = np.vstack([
+            moved,
+            (moved + nearest_below) / 2,
+            (moved + twin) / 2,
+            moved + rng.uniform(-step, step, size=moved.shape),
+            moved + np.array([0.0, 3 * cfg.box_side]),
+        ])
+        idx, _ = cb.nearest_many(queries)
+        assert (idx == exhaustive_argmin(cb.points, queries)).all()
+
+    def test_lookup_memory_is_bounded(self):
+        # 554,854 queries, one per pair of the 1300-650-325-160-2 model. The
+        # two outputs take 8.9 MB; blocking keeps the sweep's temporaries to a
+        # few MB more (15.6 MB in all, against 117.5 MB in one block).
+        cb = build_codebook(config(u=65536, centroid=(0.0, 0.0)))
+        queries = np.random.default_rng(11).uniform(-0.05, 0.05, size=(554_854, 2))
+        tracemalloc.start()
+        try:
+            cb.nearest_many(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_rejects_non_finite_query(self):
         cb = build_codebook(config(u=4))

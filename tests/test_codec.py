@@ -367,8 +367,8 @@ class TestDecodeTheta:
 
     @pytest.mark.parametrize("mode", list(DirectionMode))
     def test_decode_reads_the_encoder_points(self, mode):
-        # Decoding reads memoized points without a tree; they must be the very
-        # points the encoder's k-d tree indexed.
+        # Decoding reads memoized points without the row index; they must be the
+        # very points the encoder's nearest lookup searched.
         weights = np.random.default_rng(int(mode)).normal(0.0, 0.2, size=301)
         params = EncodeParams(num_points=361, max_category=4, direction_mode=mode)
         enc = encode_layer(weights, "w", (301,), params)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypc.codebook import DirectionMode
+from hypc.codebook import DirectionMode, direction_vector
 from hypc.codec import EncodeParams, decode_layer, encode_layer, pack_bits, unpack_bits
 from hypc.container import (
     CompressedModel,
@@ -272,6 +273,18 @@ class TestV1Corpus:
         assert any(l.padded for l in layers)
         assert any(l.element_count == 0 for l in layers)
 
+    def test_moved_file_holds_top_row_points(self):
+        # Every index in moved.hcmp names a point that np.mod left a rounding
+        # error below the box side, on the top edge instead of the bottom row.
+        for layer in read_hcmp(V1_CORPUS / "moved.hcmp").layers:
+            cfg = layer.config
+            theta = unpack_bits(layer.payload, layer.bit_width, layer.group_count)
+            rings, index = np.divmod(theta, cfg.num_points)
+            y = (index * direction_vector(cfg.num_points, cfg.box_side,
+                                          cfg.direction_mode)[1]) % cfg.box_side
+            assert (y > cfg.box_side * (1 - 1e-9)).all(), layer.name
+            assert set(rings.tolist()) == set(range(cfg.max_category + 1))
+
 
 class TestSpecReader:
     """hypc's loader and unpack_bits against a reader written from the README."""
@@ -298,6 +311,14 @@ class TestSpecReader:
             assert spec["payload"] == layer.payload
             theta = unpack_bits(layer.payload, layer.bit_width, layer.group_count)
             assert theta.tolist() == spec["values"], layer.name
+
+    @pytest.mark.parametrize("name", sorted(V1_HASHES))
+    def test_corpus_weights_decode_alike(self, name):
+        blob = (V1_CORPUS / name).read_bytes()
+        for spec, layer in zip(hcmp_v1_spec.read_layers(blob), load_hcmp(blob).layers):
+            weights = hcmp_v1_spec.decode_weights(spec)
+            want = decode_layer(layer).astype("<f8").tobytes()
+            assert struct.pack(f"<{len(weights)}d", *weights) == want, layer.name
 
     @pytest.mark.parametrize("width", range(1, 33))
     def test_random_widths_unpack_alike(self, width):
