@@ -297,18 +297,8 @@ def encode_layer(
     )
 
 
-def decode_layer(enc: EncodedLayer) -> np.ndarray:
-    """Restore the layer's weights in original order (padding dropped), float64."""
-    groups = enc.group_count
-    if groups == 0:
-        return np.zeros(0, dtype=np.float64)
-    theta = unpack_bits(enc.payload, enc.bit_width, groups)
-    cfg = enc.config
-    bound = cfg.theta_bound
-    if int(theta.max()) >= bound:
-        raise FormatError(
-            f"layer {enc.name!r} holds theta {int(theta.max())} >= bound {bound}"
-        )
+def _restore(theta: np.ndarray, cfg: CodebookConfig) -> np.ndarray:
+    """The (len(theta), 2) float64 pairs that stored codes theta decode to."""
     cats, lam = np.divmod(theta, cfg.num_points)
     half = cfg.box_side / 2.0
     wrapped = cached_codebook(replace(cfg, centroid=(half, half), max_category=0, max_radius=0.0))
@@ -320,6 +310,29 @@ def decode_layer(enc: EncodedLayer) -> np.ndarray:
     restored -= center
     restored /= scales[:, None]
     restored += center
+    return restored
+
+
+def decode_layer(enc: EncodedLayer) -> np.ndarray:
+    """Restore the layer's weights in original order (padding dropped), float64.
+
+    A layer holding at least theta_bound pairs restores every possible code once
+    and gathers from that table: the same float operations, fewer of them.
+    """
+    groups = enc.group_count
+    if groups == 0:
+        return np.zeros(0, dtype=np.float64)
+    theta = unpack_bits(enc.payload, enc.bit_width, groups)
+    cfg = enc.config
+    bound = cfg.theta_bound
+    if int(theta.max()) >= bound:
+        raise FormatError(
+            f"layer {enc.name!r} holds theta {int(theta.max())} >= bound {bound}"
+        )
+    if bound <= groups:
+        restored = np.take(_restore(np.arange(bound), cfg), theta, axis=0)
+    else:
+        restored = _restore(theta, cfg)
     return restored.reshape(-1)[: enc.element_count]
 
 
@@ -354,11 +367,18 @@ def unpack_bits(data: bytes, bit_width: int, count: int) -> np.ndarray:
         raise FormatError(f"payload holds {len(data)} bytes, need {need}")
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    # A value starts at most 7 bits into the 8-byte window at its first byte and
-    # spans at most 39 bits; 8 zero bytes of padding keep every window in bounds.
-    windows = np.ndarray((need,), "<u8", buffer=bytes(data[:need]) + bytes(8), strides=(1,))
-    bitpos = np.arange(count, dtype=np.int64) * bit_width
-    vals = windows[bitpos >> 3]
-    vals >>= (bitpos & 7).view(np.uint64)
+    # Eight consecutive values fill exactly bit_width bytes, so value j of every
+    # 8-value slot starts (j * bit_width) & 7 bits into the byte at
+    # (j * bit_width) >> 3 of its slot, and spans at most 39 bits of the 8-byte
+    # window read there. Zero padding to whole slots plus 8 bytes keeps every
+    # window in bounds.
+    slots = (count + 7) // 8
+    padded = bytearray(slots * bit_width + 8)
+    padded[:need] = memoryview(data)[:need]
+    vals = np.empty((slots, 8), dtype=np.uint64)
+    for j in range(8):
+        start, shift = divmod(j * bit_width, 8)
+        window = np.ndarray((slots,), "<u8", buffer=padded, offset=start, strides=(bit_width,))
+        np.right_shift(window, np.uint64(shift), out=vals[:, j])
     vals &= np.uint64((1 << bit_width) - 1)
-    return vals.view(np.int64)
+    return vals.reshape(-1)[:count].view(np.int64)

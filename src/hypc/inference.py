@@ -281,7 +281,27 @@ def save_dataset_csv(path, inputs: np.ndarray, labels: np.ndarray) -> None:
 
 
 def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
+    """Rows of finite features and a non-negative integer label, after a header line."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    # File line numbers of the non-blank lines after the header.
+    numbers = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    if not numbers:
+        raise DataError(f"{path}: no data rows")
+    table = np.loadtxt([lines[n - 1] for n in numbers], delimiter=",", ndmin=2,
+                       dtype=np.float64, comments=None)
     if table.shape[1] < 2:
         raise DataError("dataset CSV needs at least one feature column plus label")
-    return table[:, :-1].astype(np.float32), table[:, -1].astype(np.int64)
+    features, labels = table[:, :-1], table[:, -1]
+    # Features are kept as float32, so a finite float64 beyond its range is refused too.
+    bad = ~(np.abs(features) <= np.finfo(np.float32).max).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DataError(f"{path}: line {numbers[row]}: feature is not finite in float32")
+    # Labels are class indices; below 2^53 every integer is exact in float64.
+    bad = ~((labels >= 0) & (labels < 2.0**53) & (labels == np.floor(labels)))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DataError(f"{path}: line {numbers[row]}: label {float(labels[row])} "
+                        "is not a non-negative integer")
+    return features.astype(np.float32), labels.astype(np.int64)

@@ -261,6 +261,23 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == "error: model has no layers\n"
 
+    @pytest.mark.parametrize("body, message", [
+        ("0,0,1.5\n", "line 2: label 1.5"),
+        ("0,0,nan\n", "line 2: label nan"),
+        ("0,0,0\n0,nan,0\n", "line 3: feature is not finite"),
+        ("0,inf,1\n", "line 2: feature is not finite"),
+        ("", "no data rows"),
+    ])
+    def test_bad_dataset_rows_rejected(self, tmp_path, capsys, body, message):
+        ntb = tmp_path / "m.ntb"
+        csv = tmp_path / "d.csv"
+        run(capsys, "gen", "--layers", "2,3,2", "--seed", "0", "--output", str(ntb))
+        csv.write_text("x1,x2,label\n" + body)
+        code, out, err = run(capsys, "infer", "--model", str(ntb), "--data", str(csv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.strip().count("\n") == 0
+
     def test_bad_direction_in_overrides(self, tmp_path, capsys):
         ntb = tmp_path / "m.ntb"
         run(capsys, "gen", "--layers", "4,2", "--seed", "0", "--output", str(ntb))

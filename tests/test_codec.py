@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,10 @@ from hypc.codec import (
     scale_factor,
     unpack_bits,
 )
+from hypc.container import CompressedModel, dump_hcmp
 from hypc.errors import ConsistencyError, DataError, FormatError
+
+import hcmp_v1_spec
 
 GRID = DirectionMode.GRID_SHEAR
 PARAMS = EncodeParams()  # l=0.1, 225 points, 3 rings, grid direction
@@ -404,7 +408,55 @@ class TestDecodeTheta:
             assert pair.tobytes() == want.tobytes()
 
     def test_decode_layer_rejects_out_of_range_theta(self):
+        # One pair decodes code by code; six pairs (>= the bound) through the table.
         cfg = self.cfg()  # bound = 4, but 3 bits can hold up to 7
-        layer = EncodedLayer("w", (2,), 2, False, cfg, 3, pack_bits([5], 3), 0.0)
-        with pytest.raises(FormatError):
+        for theta in ([5], [0, 1, 2, 3, 5, 3]):
+            count = 2 * len(theta)
+            layer = EncodedLayer("w", (count,), count, False, cfg, 3,
+                                 pack_bits(theta, 3), 0.0)
+            with pytest.raises(FormatError):
+                decode_layer(layer)
+
+    @pytest.mark.parametrize("mode", list(DirectionMode))
+    def test_matches_the_spec_decode_around_the_table_threshold(self, mode):
+        # Layers hold bound - 2 .. bound + 2 pairs, so both call shapes of the
+        # decode formula run; each must equal the README's operation-by-operation
+        # decode byte for byte.
+        rng = np.random.default_rng(int(mode) + 40)
+        for m in range(16):
+            u = int(rng.choice([1, 2, 4, 9, 10, 25, 36]))
+            bound = u * (m + 1)
+            for groups in range(max(1, bound - 2), bound + 3):
+                count = 2 * groups - 1  # odd: the last pair is padded
+                theta = rng.integers(0, bound, groups)
+                width = max(1, int(theta.max()).bit_length())
+                cfg = CodebookConfig(float(rng.uniform(0.01, 0.5)), u, m, mode,
+                                     tuple(rng.normal(0, 0.1, 2).tolist()),
+                                     float(rng.uniform(0.0, 1.0)))
+                layer = EncodedLayer("w", (count,), count, True, cfg, width,
+                                     pack_bits(theta, width), 0.0)
+                (spec,) = hcmp_v1_spec.read_layers(dump_hcmp(CompressedModel([layer])))
+                weights = hcmp_v1_spec.decode_weights(spec)
+                assert struct.pack(f"<{count}d", *weights) == decode_layer(layer).tobytes()
+
+    @pytest.mark.parametrize("u, m, limit_mb", [(225, 3, 12), (65536, 15, 26)])
+    def test_decode_peak_memory(self, u, m, limit_mb):
+        # 422,500 pairs, as in the reference model's layer0.weight: at U = 225
+        # they decode through a 900-code table, at U = 2^16 and M = 15 code by
+        # code. Measured peaks, codebook build included: 9.7 MB and 20.4 MB
+        # (19.4 MB and 20.4 MB before the table); the output alone is 6.4 MB.
+        groups = 422_500
+        theta = np.random.default_rng(u).integers(0, u * (m + 1), size=groups)
+        width = int(theta.max()).bit_length()
+        cfg = CodebookConfig(0.1, u, m, GRID, (0.01, -0.02), 0.3)
+        layer = EncodedLayer("w", (2 * groups,), 2 * groups, False, cfg, width,
+                             pack_bits(theta, width), 0.0)
+        del theta
+        cached_codebook.cache_clear()
+        tracemalloc.start()
+        try:
             decode_layer(layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 2**20, peak

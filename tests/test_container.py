@@ -285,6 +285,17 @@ class TestV1Corpus:
             assert (y > cfg.box_side * (1 - 1e-9)).all(), layer.name
             assert set(rings.tolist()) == set(range(cfg.max_category + 1))
 
+    def test_table_file_straddles_the_table_threshold(self):
+        # table.hcmp holds layers with M >= 1 in both modes that decode through
+        # the per-code table (groups >= theta_bound, one exactly at it) and
+        # layers one pair short of it that decode code by code.
+        layers = read_hcmp(V1_CORPUS / "table.hcmp").layers
+        assert all(l.config.max_category >= 1 for l in layers)
+        for mode in DirectionMode:
+            sides = {l.group_count - l.config.theta_bound
+                     for l in layers if l.config.direction_mode == mode}
+            assert {-1, 0} <= sides and max(sides) > 0, mode
+
 
 class TestSpecReader:
     """hypc's loader and unpack_bits against a reader written from the README."""

@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -259,3 +260,30 @@ class TestToyProblem:
         x, y = load_dataset_csv(path)
         assert np.array_equal(x, ds.test_x)
         assert np.array_equal(y, ds.test_y)
+
+
+class TestDatasetCsv:
+    @pytest.mark.parametrize("body, message", [
+        ("0,0,1.5\n", "line 2: label 1.5 is not"),
+        ("0,0,0\n0,0,nan\n", "line 3: label nan is not"),
+        ("0,0,-1\n", "line 2: label -1.0 is not"),
+        ("0,0,1e300\n", "line 2: label 1e+300 is not"),
+        ("0,0,0\n\n0,nan,1\n", "line 4: feature is not finite"),
+        ("0,inf,0\n", "line 2: feature is not finite"),
+        ("0,-inf,0\n", "line 2: feature is not finite"),
+        ("0,1e300,0\n", "line 2: feature is not finite in float32"),
+        ("", "no data rows"),
+        ("\n\n", "no data rows"),
+    ])
+    def test_bad_rows_are_data_errors(self, tmp_path, body, message):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2,label\n" + body)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_dataset_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2,label\n\n0.5,-2,1\n\n3,4,0\n")
+        x, y = load_dataset_csv(path)
+        assert x.tolist() == [[0.5, -2.0], [3.0, 4.0]]
+        assert y.tolist() == [1, 0] and y.dtype == np.int64
