@@ -18,6 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
+# Largest lattice a trial builds: kernel * (width - 1) * height bonds. At the
+# cap the cached bond endpoints take about 48 MB.
+MAX_BONDS = 1 << 22
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -38,6 +42,14 @@ class LatticeSpec:
             raise ValueError(f"kernel {self.kernel} exceeds height {self.height}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
+        bonds = self.kernel * (self.width - 1) * self.height
+        if bonds > MAX_BONDS:
+            raise ValueError(
+                f"lattice has {bonds} bonds (kernel * (width - 1) * height), "
+                f"above the cap of {MAX_BONDS}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -67,15 +79,16 @@ class PercolationEstimate:
         }
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)
 def _edge_endpoints(kernel: int, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """Static bond endpoints (vertex index = column * height + row)."""
+    """Static bond endpoints (vertex index = column * height + row), with u
+    sorted; v is int32, the index type of the CSR graph."""
     m = np.arange(width - 1)[:, None, None]
     n = np.arange(height)[None, :, None]
     i = np.arange(kernel)[None, None, :]
     u = np.broadcast_to(m * height + n, (width - 1, height, kernel)).ravel()
-    v = ((m + 1) * height + (n + i) % height).ravel()
-    return np.ascontiguousarray(u), np.ascontiguousarray(v)
+    v = ((m + 1) * height + (n + i) % height).ravel().astype(np.int32)
+    return np.ascontiguousarray(u), v
 
 
 def percolation_trial(spec: LatticeSpec) -> bool:
@@ -83,19 +96,21 @@ def percolation_trial(spec: LatticeSpec) -> bool:
 
     Bonds open independently with probability p (open iff draw < p, so a fixed
     seed couples trials across different p). Connectivity is undirected.
+    Because u is sorted, the open bonds already form the rows of a CSR graph.
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     u, v = _edge_endpoints(spec.kernel, spec.width, spec.height)
     rng = np.random.default_rng(spec.seed)
-    open_mask = rng.random(u.size) < spec.p
-    n_vertices = spec.width * spec.height
-    if not open_mask.any():
+    bonds = np.flatnonzero(rng.random(u.size) < spec.p)
+    if bonds.size == 0:
         return False
-    graph = coo_matrix(
-        (np.ones(int(open_mask.sum()), dtype=np.int8), (u[open_mask], v[open_mask])),
-        shape=(n_vertices, n_vertices),
+    n_vertices = spec.width * spec.height
+    indptr = np.zeros(n_vertices + 1, dtype=np.int32)
+    np.cumsum(np.bincount(u.take(bonds), minlength=n_vertices), out=indptr[1:])
+    graph = csr_matrix(
+        (np.ones(bonds.size), v.take(bonds), indptr), shape=(n_vertices, n_vertices)
     )
     _, labels = connected_components(graph, directed=False)
     left = labels[: spec.height]
@@ -117,35 +132,45 @@ def estimate_threshold(
 ) -> PercolationEstimate:
     """Bisection on p for crossing frequency 1/2; estimate is the interval midpoint.
 
-    Trial i reuses the seed derived from (seed, i) at every probe, so each
-    trial's crossing is non-decreasing in p and bisection is exact. That
-    coupling also settles trials early: once a probe lowers ``hi`` to ``mid``,
-    every trial that failed there fails at all later (smaller) probes, and once
-    a probe raises ``lo``, every trial that crossed there crosses at all later
-    ones. Settled trials are not re-run; the crossing count at each probe, and
-    so the estimate, is the same as re-running every trial.
+    Trial t reuses the seed derived from (seed, t) at every probe, so its
+    crossing is non-decreasing in p and bisection is exact. That coupling gives
+    each trial a bracket: it fails at every p <= fails_at[t] and crosses at
+    every p >= crosses_at[t]. A probe at mid only asks whether at least half of
+    the trials cross. It counts the trials whose bracket already settles them,
+    then runs the open ones in index order and stops as soon as the answer is
+    known: enough have crossed, or too few are left to reach half. Trials it
+    did not run keep their brackets for a later probe. Each probe's verdict,
+    and so the estimate, is the same as re-running every trial.
     """
     if trials < 50:
         raise ValueError(f"trials must be >= 50, got {trials}")
     if probes < 10:
         raise ValueError(f"probes must be >= 10, got {probes}")
-    undecided = [_trial_seed(seed, t) for t in range(trials)]
-    known_crossings = 0  # settled trials that cross at every later probe
+    LatticeSpec(kernel, width, height, 0.0, seed)  # refuse a bad lattice or seed first
+    seeds = [_trial_seed(seed, t) for t in range(trials)]
+    # No bond opens at p = 0 and every bond opens at p = 1.
+    fails_at = [0.0] * trials
+    crosses_at = [1.0] * trials
+    need = (trials + 1) // 2  # crossings / trials >= 0.5
     lo, hi = 0.0, 1.0
     for _ in range(probes):
         mid = 0.5 * (lo + hi)
-        crossed = [
-            percolation_trial(LatticeSpec(kernel, width, height, mid, s))
-            for s in undecided
-        ]
-        crossings = known_crossings + sum(crossed)
-        if crossings / trials >= 0.5:
+        crossings = sum(c <= mid for c in crosses_at)
+        pending = [t for t in range(trials) if fails_at[t] < mid < crosses_at[t]]
+        left = len(pending)
+        for t in pending:
+            if crossings >= need or crossings + left < need:
+                break
+            left -= 1
+            if percolation_trial(LatticeSpec(kernel, width, height, mid, seeds[t])):
+                crosses_at[t] = mid
+                crossings += 1
+            else:
+                fails_at[t] = mid
+        if crossings >= need:
             hi = mid
-            undecided = [s for s, c in zip(undecided, crossed) if c]
         else:
             lo = mid
-            known_crossings = crossings
-            undecided = [s for s, c in zip(undecided, crossed) if not c]
     return PercolationEstimate(
         kernel, height, width, trials, probes, 0.5 * (lo + hi), 0.5 * (hi - lo)
     )

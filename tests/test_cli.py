@@ -124,6 +124,32 @@ class TestPerc:
         assert set(report) == {"r", "H", "W", "trials", "p_hat", "interval"}
         assert report["interval"][0] <= report["p_hat"] <= report["interval"][1]
 
+    def test_negative_seed_is_named(self, capsys):
+        code, out, err = run(capsys, "perc", "estimate", "--r", "2", "--height", "50",
+                             "--width", "50", "--trials", "50", "--seed", "-3")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be >= 0, got -3\n"
+
+    def test_oversized_lattice_is_refused_up_front(self):
+        # Under a 2 GiB address-space cap, as a 100000 x 100000 lattice would
+        # need about 75 GiB of bond endpoints.
+        script = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from hypc.cli import main
+            sys.exit(main(sys.argv[1:]))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1")
+        result = subprocess.run(
+            [sys.executable, "-c", script, "perc", "estimate", "--r", "2",
+             "--height", "100000", "--width", "100000", "--trials", "50"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("error: lattice has 19999800000 bonds")
+        assert result.stderr.count("\n") == 1
+
 
 class TestErrors:
     @pytest.mark.parametrize("unbuffered", [True, False])

@@ -13,7 +13,50 @@ from hypc.percolation import (
 )
 
 
+def union_find_crosses(kernel, width, height, p, seed):
+    """Independent oracle: lists the bonds itself, in (column, row, offset)
+    order, and joins their open ends with a union-find."""
+    draws = np.random.default_rng(seed).random((width - 1) * height * kernel).tolist()
+    parent = {}
+
+    def root(a):
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    k = 0
+    for m in range(width - 1):
+        for n in range(height):
+            for i in range(kernel):
+                if draws[k] < p:
+                    parent[root((m, n))] = root((m + 1, (n + i) % height))
+                k += 1
+    left = {root((0, n)) for n in range(height)}
+    return any(root((width - 1, n)) in left for n in range(height))
+
+
+# Rough crossing thresholds of the 30 x 30 lattice, per kernel.
+NEAR_THRESHOLD = {2: 0.5, 3: 0.31, 4: 0.22}
+
+
 class TestTrial:
+    @pytest.mark.parametrize("kernel", [2, 3, 4])
+    def test_matches_union_find_oracle(self, kernel):
+        pc = NEAR_THRESHOLD[kernel]
+        geometries = [(2, kernel), (2, 15), (25, kernel), (30, 30)]
+        near = []
+        for width, height in geometries:
+            for p in (0.0, 1.0, pc - 0.02, pc, pc + 0.02):
+                for seed in range(8):
+                    spec = LatticeSpec(kernel, width, height, p, seed)
+                    expected = union_find_crosses(kernel, width, height, p, seed)
+                    assert percolation_trial(spec) == expected, spec
+                    if (width, height) == (30, 30) and 0.0 < p < 1.0:
+                        near.append(expected)
+        assert 0 < sum(near) < len(near)  # both outcomes occur near threshold
+
     def test_all_open_crosses(self):
         assert percolation_trial(LatticeSpec(2, 30, 20, 1.0, seed=0)) is True
 
@@ -62,6 +105,17 @@ class TestTrial:
         with pytest.raises(ValueError):
             LatticeSpec(12, 10, 10, 0.5, 0)  # kernel larger than height
 
+    def test_bond_cap(self):
+        LatticeSpec(2, 2049, 1024, 0.5, 0)  # exactly MAX_BONDS bonds
+        with pytest.raises(ValueError, match="lattice has 4198400 bonds"):
+            LatticeSpec(2, 2049, 1025, 0.5, 0)
+        with pytest.raises(ValueError, match="bonds"):
+            LatticeSpec(2, 100_000, 100_000, 0.5, 0)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            LatticeSpec(2, 10, 10, 0.5, -1)
+
 
 class TestEstimate:
     def test_square_lattice_threshold_small_scale(self):
@@ -98,6 +152,10 @@ class TestEstimate:
             (3, 36, 24, 50, 14, 8),
             (4, 12, 40, 73, 11, 13),
             (4, 30, 16, 80, 13, 21),
+            # 58-62 probes: mid reaches float resolution and repeats
+            (2, 10, 10, 50, 58, 1),
+            (3, 12, 8, 60, 60, 2),
+            (4, 9, 14, 55, 62, 3),
         ],
     )
     def test_matches_full_bisection(self, kernel, height, width, trials, probes, seed):
@@ -120,37 +178,92 @@ class TestEstimate:
         assert estimate_threshold(kernel, height, width, trials, probes, seed) == expected
 
     def test_settled_trials_are_not_rerun(self, monkeypatch):
+        # The second case has 60 probes, so mid reaches float resolution.
+        for args in ((2, 30, 30, 60, 12, 4), (3, 12, 10, 55, 60, 9)):
+            self._check_probe_calls(monkeypatch, *args)
+
+    @staticmethod
+    def _check_probe_calls(monkeypatch, kernel, height, width, trials, probes, seed):
+        seeds = [_trial_seed(seed, t) for t in range(trials)]
+        need = (trials + 1) // 2
+
+        # Full bisection: every trial's outcome at every probe.
+        path = []
+        lo, hi = 0.0, 1.0
+        for _ in range(probes):
+            mid = 0.5 * (lo + hi)
+            outcomes = {
+                s: percolation_trial(LatticeSpec(kernel, width, height, mid, s))
+                for s in seeds
+            }
+            crossing = sum(outcomes.values()) >= need
+            path.append((mid, crossing, outcomes))
+            if crossing:
+                hi = mid
+            else:
+                lo = mid
+
         calls = []
-        real_trial = percolation.percolation_trial
 
         def recording_trial(spec):
-            crossed = real_trial(spec)
+            crossed = percolation_trial(spec)
             calls.append((spec.seed, spec.p, crossed))
             return crossed
 
         monkeypatch.setattr(percolation, "percolation_trial", recording_trial)
-        trials, probes = 60, 12
-        estimate_threshold(2, 30, 30, trials=trials, probes=probes, seed=4)
+        estimate_threshold(kernel, height, width, trials, probes, seed)
 
-        probes_run: dict[float, dict[int, bool]] = {}
-        for s, p, crossed in calls:
-            probes_run.setdefault(p, {})[s] = crossed
-        ps = list(probes_run)
-        assert sorted(probes_run[ps[0]]) == sorted(_trial_seed(4, t) for t in range(trials))
-        for p, next_p in zip(ps, ps[1:]):
-            # a lower next probe re-runs only the trials that crossed at p,
-            # a higher one only those that failed
-            outcomes = probes_run[p]
-            undecided = {s for s, c in outcomes.items() if c == (next_p < p)}
-            assert set(probes_run[next_p]) == undecided
+        # Replay the calls probe by probe against each trial's bracket.
+        fails_at = dict.fromkeys(seeds, -np.inf)
+        crosses_at = dict.fromkeys(seeds, np.inf)
+        pos = 0
+        for mid, crossing, outcomes in path:
+            crossings = sum(crosses_at[s] <= mid for s in seeds)
+            pending = sum(fails_at[s] < mid < crosses_at[s] for s in seeds)
+            while pos < len(calls) and calls[pos][1] == mid:
+                s, p, crossed = calls[pos]
+                pos += 1
+                assert fails_at[s] < p < crosses_at[s]  # the bracket holds mid
+                assert crossings < need <= crossings + pending  # verdict still open
+                assert crossed == outcomes[s]
+                pending -= 1
+                if crossed:
+                    crosses_at[s] = p
+                    crossings += 1
+                else:
+                    fails_at[s] = p
+            # The probe stopped once settled, on the full bisection's verdict.
+            assert crossings >= need or crossings + pending < need
+            assert (crossings >= need) == crossing
+        assert pos == len(calls)
         assert len({(s, p) for s, p, _ in calls}) == len(calls)
-        assert len(calls) < trials * probes
+
+        # Fewer calls than re-running only the trials that earlier probes
+        # left unsettled.
+        undecided = set(seeds)
+        settled_only = 0
+        for _, crossing, outcomes in path:
+            settled_only += len(undecided)
+            undecided = {s for s in undecided if outcomes[s] == crossing}
+        assert len(calls) < settled_only
 
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_threshold(2, 50, 50, trials=10)
         with pytest.raises(ValueError):
             estimate_threshold(2, 50, 50, trials=50, probes=5)
+
+    @pytest.mark.parametrize(
+        "height, width, seed, message",
+        [(100_000, 100_000, 0, "bonds"), (50, 50, -3, "seed must be >= 0")],
+    )
+    def test_lattice_checked_before_seeds(self, monkeypatch, height, width, seed, message):
+        def no_seed(seed, index):
+            raise AssertionError("trial seeds derived before the lattice was checked")
+
+        monkeypatch.setattr(percolation, "_trial_seed", no_seed)
+        with pytest.raises(ValueError, match=message):
+            estimate_threshold(2, height, width, trials=50, seed=seed)
 
 
 class TestP0:
