@@ -3,10 +3,11 @@
 A codebook is the finite set of points ``tau(lam * a)`` for ``lam = 0 .. num_points-1``,
 where ``tau`` wraps coordinates into a square box centered on the layer's centroid and
 ``a`` is the per-step direction vector. Decoding only reads points by index
-(``cached_codebook``). Encoding (``build_codebook``) sorts the points into their
-horizontal rows and sweeps those rows outward from each query: its lookups equal
-an exhaustive scan, including the smallest-index rule on exact ties. Nothing here
-needs scipy.
+(``cached_codebook``). Encoding (``build_codebook``) rounds each query to a
+lattice point and keeps it when a distance certificate proves it the unique
+nearest; the rest go to a sweep over the points' horizontal rows, outward from
+the query. Both equal an exhaustive scan, including the smallest-index rule on
+exact ties. Nothing here needs scipy.
 """
 
 from __future__ import annotations
@@ -125,14 +126,18 @@ def direction_vector(
 
 
 class Codebook:
-    """Read-only points plus the row index the encoder's nearest lookup sweeps.
+    """Read-only points plus the lattice and row index of the encoder's lookup.
 
     The points lie on ``isqrt(U) + 1`` horizontal rows: row ``r`` near
     ``y_lo + r * l / isqrt(U)``, where the top row holds the bottom-row points
-    that ``np.mod`` rounded up to ``y ~ l``. The points are sorted by
-    (row, x, index); each non-empty row keeps its start offset and its stored
-    minimum and maximum y. Built only to encode (``build_codebook``); decoding
-    reads the points alone. Safe for concurrent readers.
+    that ``np.mod`` rounded up to ``y ~ l``. Point ``lam`` sits near row
+    ``lam % isqrt(U)`` at ``x_lo + lam * dx``, so rounding a query to that
+    lattice finds a candidate in O(1) (``_round``). Queries the candidate's
+    certificate does not settle go to the row sweep (``_sweep``): the points
+    sorted by (row, x, index), each non-empty row with its start offset and
+    its stored minimum and maximum y. Built only to encode
+    (``build_codebook``); decoding reads the points alone. Safe for concurrent
+    readers.
     """
 
     def __init__(self, config: CodebookConfig, points: np.ndarray):
@@ -149,6 +154,16 @@ class Codebook:
         self._y_min = np.minimum.reduceat(self._y, self._starts[:-1])
         self._y_max = np.maximum.reduceat(self._y, self._starts[:-1])
         self._depth = int(np.diff(self._starts).max()).bit_length()
+        # Lattice of the rounding pre-pass: point lam sits near row lam % root
+        # at y_lo + row * h and x_lo + lam * dx. A stored point is at most err
+        # from that position per coordinate: the products lam * dx and lam * dy
+        # (lam * dy < (root + 2) * l) and the shift into the box each round.
+        self._root = root
+        self._dx, self._h = direction_vector(config.num_points, config.box_side,
+                                             config.direction_mode)
+        self._pitch = root * self._dx
+        corner = max(abs(c) for c in config.box)
+        self._err = 4 * (root + 2) * math.ulp(config.box_side) + 4 * math.ulp(corner)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -158,7 +173,8 @@ class Codebook:
 
         Equals an exhaustive argmin of ``dx*dx + dy*dy`` over the points,
         smallest index on ties. Queries run in blocks of ``_QUERY_BLOCK`` so
-        the sweep's temporaries stay bounded.
+        the temporaries stay bounded; in each block lattice rounding settles
+        what it can and the sweep runs only on the rest, if any.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != 2:
@@ -169,8 +185,37 @@ class Codebook:
         dsq = np.empty(len(queries), dtype=np.float64)
         for lo in range(0, len(queries), _QUERY_BLOCK):
             block = slice(lo, lo + _QUERY_BLOCK)
-            idx[block], dsq[block] = self._sweep(queries[block, 0], queries[block, 1])
+            qx, qy = queries[block, 0], queries[block, 1]
+            idx[block], dsq[block], settled = self._round(qx, qy)
+            rest = np.flatnonzero(~settled)
+            if rest.size:
+                idx[lo + rest], dsq[lo + rest] = self._sweep(qx[rest], qy[rest])
         return idx, np.sqrt(dsq, out=dsq)
+
+    def _round(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Round each query to a lattice point: (index, dsq, settled).
+
+        Every other point is at least the in-row pitch ``root * dx`` away in x
+        (same row) or ``h`` away in y (another row, the top row included), less
+        ``err`` for each of the two points. So a candidate closer than
+        ``min(pitch - |dx|, h - |dy|) - 2 * err`` is the unique nearest point;
+        the relative margin covers the rounding of the scan's ``dx*dx + dy*dy``
+        and of the bound itself. Unsettled queries go to the sweep.
+        """
+        root = self._root
+        x_lo, x_hi, y_lo, y_hi = self.config.box
+        row = np.rint((np.clip(qy, y_lo, y_hi) - y_lo) / self._h).astype(np.int64) % root
+        k = np.rint(((np.clip(qx, x_lo, x_hi) - x_lo) / self._dx - row) / root)
+        np.clip(k, 0, (self.config.num_points - 1 - row) // root, out=k)
+        lam = row + k.astype(np.int64) * root
+        ddx = self.points[lam, 0] - qx
+        ddy = self.points[lam, 1] - qy
+        dsq = ddx * ddx + ddy * ddy
+        np.abs(ddx, out=ddx)
+        np.abs(ddy, out=ddy)
+        bound = np.minimum(self._pitch - ddx, self._h - ddy) - 2 * self._err
+        settled = (bound > 0) & (dsq < bound * bound * (1 - 1e-12))
+        return lam, dsq, settled
 
     def _sweep(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         best = np.full(len(qx), np.inf)

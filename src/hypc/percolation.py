@@ -21,6 +21,10 @@ import numpy as np
 # Largest lattice a trial builds: kernel * (width - 1) * height bonds. At the
 # cap the cached bond endpoints take about 48 MB.
 MAX_BONDS = 1 << 22
+# Most trials per estimate: every trial seed is derived before the first probe.
+MAX_TRIALS = 1 << 16
+# Most bisection probes: float64 midpoints stop narrowing after about 53.
+MAX_PROBES = 64
 
 
 @dataclass(frozen=True)
@@ -142,10 +146,10 @@ def estimate_threshold(
     did not run keep their brackets for a later probe. Each probe's verdict,
     and so the estimate, is the same as re-running every trial.
     """
-    if trials < 50:
-        raise ValueError(f"trials must be >= 50, got {trials}")
-    if probes < 10:
-        raise ValueError(f"probes must be >= 10, got {probes}")
+    if not 50 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in [50, {MAX_TRIALS}], got {trials}")
+    if not 10 <= probes <= MAX_PROBES:
+        raise ValueError(f"probes must be in [10, {MAX_PROBES}], got {probes}")
     LatticeSpec(kernel, width, height, 0.0, seed)  # refuse a bad lattice or seed first
     seeds = [_trial_seed(seed, t) for t in range(trials)]
     # No bond opens at p = 0 and every bond opens at p = 1.

@@ -130,6 +130,17 @@ class TestPerc:
         assert (code, out) == (1, "")
         assert err == "error: seed must be >= 0, got -3\n"
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--trials", "100000000", "trials"), ("--probes", "65", "probes")],
+    )
+    def test_over_cap_counts_are_named(self, capsys, flag, value, field):
+        code, out, err = run(capsys, "perc", "estimate", "--r", "2", "--height", "50",
+                             "--width", "50", "--trials", "50", flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {field} must be in [")
+        assert err.endswith(f"got {value}\n") and err.count("\n") == 1
+
     def test_oversized_lattice_is_refused_up_front(self):
         # Under a 2 GiB address-space cap, as a 100000 x 100000 lattice would
         # need about 75 GiB of bond endpoints.

@@ -281,6 +281,47 @@ class TestNearest:
         idx, _ = cb.nearest_many(queries)
         assert (idx == exhaustive_argmin(cb.points, queries)).all()
 
+    @pytest.mark.parametrize("u", [1, 2, 3, 9, 200, 225, 1000, 4096])
+    @pytest.mark.parametrize("mode", [GRID, PAPER])
+    def test_matches_exhaustive_scan_far_from_origin(self, u, mode):
+        # Far from the origin the shift into the box rounds at the scale of
+        # the centroid, not of l: a fixed relative slack on the rounding
+        # certificate picks wrong indices here; the error bound must follow
+        # the magnitudes, and where it swamps l every query goes to the sweep.
+        rng = np.random.default_rng([u, int(mode)])
+        centroids = [(3e7, -3e7), (-2.5e7, 1.2e6), (1e6, 3e7), (0.2, -0.1)]
+        for centroid in centroids:
+            for side in (1e-4, 0.37, 10.0):
+                cfg = config(side=side, u=u, mode=mode, centroid=centroid)
+                cb = build_codebook(cfg)
+                x_lo, x_hi, y_lo, y_hi = cfg.box
+                pairs = rng.integers(0, u, size=(2, 300))
+                near = np.minimum(pairs[0] + rng.choice([1, math.isqrt(u)], 300), u - 1)
+                queries = np.vstack([
+                    np.stack([rng.uniform(x_lo, x_hi, 300), rng.uniform(y_lo, y_hi, 300)], 1),
+                    cb.points,
+                    (cb.points[pairs[0]] + cb.points[pairs[1]]) / 2,
+                    (cb.points[pairs[0]] + cb.points[near]) / 2,
+                ])
+                idx, _ = cb.nearest_many(queries)
+                want = exhaustive_argmin(cb.points, queries)
+                assert (idx == want).all(), (centroid, side)
+
+    def test_rounding_settles_most_queries(self):
+        # A certificate too cautious to settle anything would pass every
+        # exactness test while leaving all the work to the sweep.
+        cb = build_codebook(config(side=0.1, u=225, centroid=(0.0, 0.0)))
+        rng = np.random.default_rng(5)
+        radius = 0.05 * np.sqrt(rng.uniform(size=20_000))
+        angle = rng.uniform(0, 2 * np.pi, size=20_000)
+        qx, qy = radius * np.cos(angle), radius * np.sin(angle)
+        lam, dsq, settled = cb._round(qx, qy)
+        assert settled.mean() >= 0.7
+        queries = np.stack([qx, qy], 1)[settled]
+        assert (lam[settled] == exhaustive_argmin(cb.points, queries)).all()
+        diff = cb.points[lam[settled]] - queries
+        assert dsq[settled].tobytes() == (diff[:, 0] ** 2 + diff[:, 1] ** 2).tobytes()
+
     def test_lookup_memory_is_bounded(self):
         # 554,854 queries, one per pair of the 1300-650-325-160-2 model. The
         # two outputs take 8.9 MB; blocking keeps the sweep's temporaries to a

@@ -3,6 +3,8 @@ import pytest
 
 import hypc.percolation as percolation
 from hypc.percolation import (
+    MAX_PROBES,
+    MAX_TRIALS,
     LatticeSpec,
     PercolationEstimate,
     _trial_seed,
@@ -252,6 +254,24 @@ class TestEstimate:
             estimate_threshold(2, 50, 50, trials=10)
         with pytest.raises(ValueError):
             estimate_threshold(2, 50, 50, trials=50, probes=5)
+
+    @pytest.mark.parametrize(
+        "trials, probes, message",
+        [(MAX_TRIALS + 1, 12, "trials must be in"), (100_000_000, 12, "trials must be in"),
+         (50, MAX_PROBES + 1, "probes must be in")],
+    )
+    def test_counts_capped_before_seeds(self, monkeypatch, trials, probes, message):
+        def no_seed(seed, index):
+            raise AssertionError("trial seeds derived before the counts were checked")
+
+        monkeypatch.setattr(percolation, "_trial_seed", no_seed)
+        with pytest.raises(ValueError, match=message):
+            estimate_threshold(2, 50, 50, trials=trials, probes=probes)
+
+    def test_largest_counts_accepted(self):
+        assert MAX_TRIALS == 1 << 16 and MAX_PROBES == 64
+        est = estimate_threshold(2, 2, 2, trials=50, probes=MAX_PROBES)
+        assert est.interval[0] <= est.p_hat <= est.interval[1]
 
     @pytest.mark.parametrize(
         "height, width, seed, message",
