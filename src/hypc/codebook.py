@@ -3,24 +3,28 @@
 A codebook is the finite set of points ``tau(lam * a)`` for ``lam = 0 .. num_points-1``,
 where ``tau`` wraps coordinates into a square box centered on the layer's centroid and
 ``a`` is the per-step direction vector. Decoding only reads points by index
-(``cached_codebook``). Encoding (``build_codebook``) rounds each query to a
-lattice point and keeps it when a distance certificate proves it the unique
-nearest; the rest go to a sweep over the points' horizontal rows, outward from
-the query. Both equal an exhaustive scan, including the smallest-index rule on
-exact ties. Nothing here needs scipy.
+(``cached_codebook``). Encoding (``build_codebook``) looks each query up in
+three stages: it rounds the query to a lattice point, then examines the 3x3
+lattice neighbourhood of what rounding leaves open, and keeps a candidate when
+a distance certificate proves it the unique nearest; the rest go to a sweep
+over the points' horizontal rows, outward from the query. All equal an
+exhaustive scan, including the smallest-index rule on exact ties. Nothing here
+needs scipy.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 # Queries per block of the nearest lookup: bounds its temporaries (a few MB).
 _QUERY_BLOCK = 1 << 15
+# Offsets of the stencil's rows and in-row indices around the rounded query.
+_STEPS = np.array([[-1.0], [0.0], [1.0]])
 # Largest codebook a config may name: bounds the memory a decoder allocates
 # (16 MB of float64 points) for any num_points read from a file.
 MAX_NUM_POINTS = 1 << 20
@@ -132,10 +136,10 @@ class Codebook:
     ``y_lo + r * l / isqrt(U)``, where the top row holds the bottom-row points
     that ``np.mod`` rounded up to ``y ~ l``. Point ``lam`` sits near row
     ``lam % isqrt(U)`` at ``x_lo + lam * dx``, so rounding a query to that
-    lattice finds a candidate in O(1) (``_round``). Queries the candidate's
-    certificate does not settle go to the row sweep (``_sweep``): the points
-    sorted by (row, x, index), each non-empty row with its start offset and
-    its stored minimum and maximum y. Built only to encode
+    lattice finds a candidate in O(1) (``_round``). Queries its certificate
+    does not settle get the nine lattice points of the three rows and three
+    in-row indices around them (``_stencil``), and the few that stay open go to
+    the row sweep (``_RowSweep``, indexed on first use). Built only to encode
     (``build_codebook``); decoding reads the points alone. Safe for concurrent
     readers.
     """
@@ -143,6 +147,139 @@ class Codebook:
     def __init__(self, config: CodebookConfig, points: np.ndarray):
         self.config = config
         self.points = points
+        root = math.isqrt(config.num_points)
+        # Lattice of the rounding pre-pass: point lam sits near row lam % root
+        # at y_lo + row * h and x_lo + lam * dx. A stored point is at most err
+        # from that position per coordinate: the products lam * dx and lam * dy
+        # (lam * dy < (root + 2) * l) and the shift into the box each round.
+        self._root = root
+        self._dx, self._h = direction_vector(config.num_points, config.box_side,
+                                             config.direction_mode)
+        self._pitch = root * self._dx
+        corner = max(abs(c) for c in config.box)
+        self._err = 4 * (root + 2) * math.ulp(config.box_side) + 4 * math.ulp(corner)
+        # For each row position p in [0, root]: the rows at positions p - 1,
+        # p and p + 1 (mod root) and the last in-row index of each, as float.
+        self._rows = np.mod(np.arange(root + 1) + _STEPS, root)
+        self._last = (config.num_points - 1 - self._rows) // root
+        self._cols = np.ascontiguousarray(points.T)  # gathers read one column each
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def nearest_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized nearest: (indices, distances) for an (n, 2) query array.
+
+        Equals an exhaustive argmin of ``dx*dx + dy*dy`` over the points,
+        smallest index on ties. Queries run in blocks of ``_QUERY_BLOCK`` so
+        the temporaries stay bounded; in each block lattice rounding settles
+        what it can, the stencil most of the rest, and the sweep what is left.
+        Queries past the lattice's x extent, where the stencil settles none
+        (most of a PAPER_EQ codebook's), go straight to the sweep.
+        """
+        queries = np.asarray(queries, dtype=np.float64)
+        if queries.ndim != 2 or queries.shape[1] != 2:
+            raise ValueError(f"queries must be (n, 2), got {queries.shape}")
+        if not np.all(np.isfinite(queries)):
+            raise ValueError("queries must be finite")
+        idx = np.empty(len(queries), dtype=np.int64)
+        dsq = np.empty(len(queries), dtype=np.float64)
+        reach = self.config.box[0] + (self.config.num_points + self._root) * self._dx
+        for lo in range(0, len(queries), _QUERY_BLOCK):
+            block = slice(lo, lo + _QUERY_BLOCK)
+            qx, qy = queries[block, 0], queries[block, 1]
+            idx[block], dsq[block], settled = self._round(qx, qy)
+            rest = np.flatnonzero(~settled)
+            if rest.size and self._root >= 3:
+                near = rest[qx[rest] <= reach]
+                lam, near_dsq, ok = self._stencil(qx[near], qy[near])
+                near = near[ok]
+                idx[lo + near], dsq[lo + near] = lam[ok], near_dsq[ok]
+                settled[near] = True
+                rest = np.flatnonzero(~settled)
+            if rest.size:
+                idx[lo + rest], dsq[lo + rest] = self._sweeper.sweep(qx[rest], qy[rest])
+        return idx, np.sqrt(dsq, out=dsq)
+
+    def _round(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Round each query to a lattice point: (index, dsq, settled).
+
+        Every other point is at least the in-row pitch ``root * dx`` away in x
+        (same row) or ``h`` away in y (another row, the top row included), less
+        ``err`` for each of the two points. So a candidate closer than
+        ``min(pitch - |dx|, h - |dy|) - 2 * err`` is the unique nearest point;
+        the relative margin covers the rounding of the scan's ``dx*dx + dy*dy``
+        and of the bound itself. Unsettled queries go to the stencil.
+        """
+        root = self._root
+        x_lo, x_hi, y_lo, y_hi = self.config.box
+        # Clipped: a box a few ulps wide can round past position root.
+        at = np.rint((np.clip(qy, y_lo, y_hi) - y_lo) / self._h).astype(np.intp)
+        row = np.take(self._rows[1], at, mode="clip")
+        k = np.rint(((np.clip(qx, x_lo, x_hi) - x_lo) / self._dx - row) / root)
+        np.clip(k, 0, np.take(self._last[1], at, mode="clip"), out=k)
+        lam = (k * root + row).astype(np.int64)
+        ddx = np.take(self._cols[0], lam) - qx
+        ddy = np.take(self._cols[1], lam) - qy
+        dsq = ddx * ddx + ddy * ddy
+        np.abs(ddx, out=ddx)
+        np.abs(ddy, out=ddy)
+        bound = np.minimum(self._pitch - ddx, self._h - ddy) - 2 * self._err
+        settled = (bound > 0) & (dsq < bound * bound * (1 - 1e-12))
+        return lam, dsq, settled
+
+    def _stencil(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Settle queries by their 3x3 lattice neighbourhood: (index, dsq, settled).
+
+        The rows at positions ``pos0 - 1 .. pos0 + 1`` around the rounded
+        ``pos0`` (position ``root`` holds the moved row-0 points: row
+        ``pos % root``) and, in each, the in-row indices ``k - 1 .. k + 1``
+        with ``k`` clipped to ``[1, last - 1]``. A point not examined is in one
+        of these rows at least the x-gap to index ``k +- 2`` away, or at
+        position ``pos0 +- 2`` or beyond, at least that y-gap away; less
+        ``err`` per point, as in ``_round``. Ties among the nine go to the
+        smallest index. Needs ``root >= 3``, so the window never holds both
+        row-0 positions; a position outside ``[0, root]`` wraps to a row the
+        y-gaps bound, an extra candidate. Arrays are (9, n): numpy is slow over
+        a short inner axis.
+        """
+        root, dx, h = self._root, self._dx, self._h
+        x_lo, x_hi, y_lo, y_hi = self.config.box
+        pos0 = np.clip(np.rint((np.clip(qy, y_lo, y_hi) - y_lo) / h), 0, root)
+        at = pos0.astype(np.intp)
+        row = np.take(self._rows, at, axis=1)
+        last = np.take(self._last, at, axis=1)
+        k = np.rint(((np.clip(qx, x_lo, x_hi) - x_lo) / dx - row) / root)
+        np.clip(k, 1, last - 1, out=k)
+        near = (k[:, None] + _STEPS) * root + row[:, None]
+        lam = near.astype(np.int64).reshape(9, len(qx))
+        ddx = np.take(self._cols[0], lam) - qx
+        ddy = np.take(self._cols[1], lam) - qy
+        ddx *= ddx
+        ddx += ddy * ddy
+        dsq = ddx.min(axis=0)
+        lam = np.where(ddx == dsq, lam, self.config.num_points).min(axis=0)
+        left = np.where(k < 2, np.inf, qx - (((k - 2) * root + row) * dx + x_lo))
+        right = np.where(k + 2 > last, np.inf, ((k + 2) * root + row) * dx + x_lo - qx)
+        below = np.where(pos0 < 2, np.inf, qy - (y_lo + (pos0 - 2) * h))
+        above = np.where(pos0 + 2 > root, np.inf, y_lo + (pos0 + 2) * h - qy)
+        bound = np.minimum(np.minimum(left, right).min(axis=0), np.minimum(below, above))
+        bound -= 2 * self._err
+        settled = (bound > 0) & (dsq < bound * bound * (1 - 1e-12))
+        return lam, dsq, settled
+
+    @cached_property
+    def _sweeper(self) -> _RowSweep:
+        """Built on the first sweep: rounding and the stencil often settle every
+        query, and the index's sort is most of the cost of a build."""
+        return _RowSweep(self.config, self.points)
+
+
+class _RowSweep:
+    """Exact lookup by rows: the points sorted by (row, x, index), each
+    non-empty row with its start offset and its stored minimum and maximum y."""
+
+    def __init__(self, config: CodebookConfig, points: np.ndarray):
         root = math.isqrt(config.num_points)
         rows = np.rint((points[:, 1] - config.box[2]) / (config.box_side / root))
         self._order = np.lexsort((np.arange(len(points)), points[:, 0], rows))
@@ -154,70 +291,8 @@ class Codebook:
         self._y_min = np.minimum.reduceat(self._y, self._starts[:-1])
         self._y_max = np.maximum.reduceat(self._y, self._starts[:-1])
         self._depth = int(np.diff(self._starts).max()).bit_length()
-        # Lattice of the rounding pre-pass: point lam sits near row lam % root
-        # at y_lo + row * h and x_lo + lam * dx. A stored point is at most err
-        # from that position per coordinate: the products lam * dx and lam * dy
-        # (lam * dy < (root + 2) * l) and the shift into the box each round.
-        self._root = root
-        self._dx, self._h = direction_vector(config.num_points, config.box_side,
-                                             config.direction_mode)
-        self._pitch = root * self._dx
-        corner = max(abs(c) for c in config.box)
-        self._err = 4 * (root + 2) * math.ulp(config.box_side) + 4 * math.ulp(corner)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def nearest_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized nearest: (indices, distances) for an (n, 2) query array.
-
-        Equals an exhaustive argmin of ``dx*dx + dy*dy`` over the points,
-        smallest index on ties. Queries run in blocks of ``_QUERY_BLOCK`` so
-        the temporaries stay bounded; in each block lattice rounding settles
-        what it can and the sweep runs only on the rest, if any.
-        """
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[1] != 2:
-            raise ValueError(f"queries must be (n, 2), got {queries.shape}")
-        if not np.all(np.isfinite(queries)):
-            raise ValueError("queries must be finite")
-        idx = np.empty(len(queries), dtype=np.int64)
-        dsq = np.empty(len(queries), dtype=np.float64)
-        for lo in range(0, len(queries), _QUERY_BLOCK):
-            block = slice(lo, lo + _QUERY_BLOCK)
-            qx, qy = queries[block, 0], queries[block, 1]
-            idx[block], dsq[block], settled = self._round(qx, qy)
-            rest = np.flatnonzero(~settled)
-            if rest.size:
-                idx[lo + rest], dsq[lo + rest] = self._sweep(qx[rest], qy[rest])
-        return idx, np.sqrt(dsq, out=dsq)
-
-    def _round(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Round each query to a lattice point: (index, dsq, settled).
-
-        Every other point is at least the in-row pitch ``root * dx`` away in x
-        (same row) or ``h`` away in y (another row, the top row included), less
-        ``err`` for each of the two points. So a candidate closer than
-        ``min(pitch - |dx|, h - |dy|) - 2 * err`` is the unique nearest point;
-        the relative margin covers the rounding of the scan's ``dx*dx + dy*dy``
-        and of the bound itself. Unsettled queries go to the sweep.
-        """
-        root = self._root
-        x_lo, x_hi, y_lo, y_hi = self.config.box
-        row = np.rint((np.clip(qy, y_lo, y_hi) - y_lo) / self._h).astype(np.int64) % root
-        k = np.rint(((np.clip(qx, x_lo, x_hi) - x_lo) / self._dx - row) / root)
-        np.clip(k, 0, (self.config.num_points - 1 - row) // root, out=k)
-        lam = row + k.astype(np.int64) * root
-        ddx = self.points[lam, 0] - qx
-        ddy = self.points[lam, 1] - qy
-        dsq = ddx * ddx + ddy * ddy
-        np.abs(ddx, out=ddx)
-        np.abs(ddy, out=ddy)
-        bound = np.minimum(self._pitch - ddx, self._h - ddy) - 2 * self._err
-        settled = (bound > 0) & (dsq < bound * bound * (1 - 1e-12))
-        return lam, dsq, settled
-
-    def _sweep(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def sweep(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         best = np.full(len(qx), np.inf)
         arg = np.zeros(len(qx), dtype=np.int64)
         last = len(self._y_min) - 1
@@ -309,12 +384,21 @@ def _points(config: CodebookConfig) -> np.ndarray:
 
 
 def build_codebook(config: CodebookConfig) -> Codebook:
-    """Materialize the trajectory points for a config and index them by row for encoding."""
-    return Codebook(config, _points(config))
+    """The config's points, indexed by row for encoding: the cached
+    ``wrapped_points`` plus the offset, bit for bit ``_points(config)``."""
+    points = wrapped_points(config) + (np.array(config.centroid) - config.box_side / 2.0)
+    points.setflags(write=False)
+    return Codebook(config, points)
+
+
+def wrapped_points(config: CodebookConfig) -> np.ndarray:
+    """Config's points before the shift into its box (``np.mod`` does not
+    depend on the centroid): one cached array per U, side and mode."""
+    half = config.box_side / 2.0
+    return cached_codebook(replace(config, centroid=(half, half), max_category=0, max_radius=0.0))
 
 
 @lru_cache(maxsize=16)
 def cached_codebook(config: CodebookConfig) -> np.ndarray:
-    """Memoized read-only points. Decoding asks with the centroid at box_side/2,
-    so one un-offset array serves all layers with the same U, side and mode."""
+    """Memoized read-only points; encoder and decoder ask through ``wrapped_points``."""
     return _points(config)

@@ -12,7 +12,7 @@ indices; the reference path doubles as the slow arm of the speed ablation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .codebook import (
     DirectionMode,
     _points,
     build_codebook,
-    cached_codebook,
+    wrapped_points,
 )
 from .errors import ConsistencyError, DataError, FormatError
 
@@ -112,7 +112,10 @@ def group_pairs(weights) -> tuple[np.ndarray, bool, float]:
 def _distances(points: np.ndarray, cx: float, cy: float) -> np.ndarray:
     dx = points[:, 0] - cx
     dy = points[:, 1] - cy
-    return np.sqrt(dx * dx + dy * dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _analyze(points: np.ndarray) -> tuple[tuple[float, float], float, np.ndarray]:
@@ -120,12 +123,6 @@ def _analyze(points: np.ndarray) -> tuple[tuple[float, float], float, np.ndarray
     cx, cy = float(center[0]), float(center[1])
     dists = _distances(points, cx, cy)
     return (cx, cy), float(dists.max()), dists
-
-
-def _ring_boundaries(box_side: float, max_radius: float, max_category: int) -> np.ndarray:
-    half = box_side / 2.0
-    step = max_radius / max_category
-    return half + step * np.arange(1, max_category + 1, dtype=np.float64)
 
 
 def _categorize_distances(
@@ -141,9 +138,20 @@ def _categorize_distances(
                 f"distance {dists.max()} exceeds box half-side {half} with no rings"
             )
         return np.zeros(dists.shape, dtype=np.int64)
-    bands = _ring_boundaries(box_side, max_radius, max_category)
-    cats = np.searchsorted(bands, dists, side="left").astype(np.int64) + 1
-    cats[dists <= half] = 0
+    # Ring c in [0, M + 1] (M + 1: past the last band) holds edges[c] < d <=
+    # edges[c + 1]. A closed form guesses c; searchsorted takes the distances
+    # it misses (rounding at an edge, a zero step or one far below ulp(half)).
+    step = max_radius / max_category
+    bands = half + step * np.arange(max_category + 1, dtype=np.float64)  # half, then ring m's
+    edges = np.concatenate(([-np.inf], bands, [np.inf]))
+    guess = dists - half
+    if step > 0:
+        np.minimum(guess, step * (max_category + 1), out=guess)
+        guess /= step
+    np.ceil(guess, out=guess)
+    cats = np.clip(guess, 0, max_category + 1, out=guess).astype(np.int64)
+    missed = np.flatnonzero((np.take(edges[:-1], cats) >= dists) | (dists > np.take(edges[1:], cats)))
+    cats[missed] = np.searchsorted(bands, dists[missed], side="left")
     over = cats > max_category
     if over.any():
         worst = float(dists[over].max())
@@ -220,8 +228,12 @@ def _encode_thetas(
     A function of its own so the (G, 2) temporaries are freed before packing.
     """
     plan = _plan_from_distances(dists, config)
-    center = np.array(config.centroid)
-    scaled = (points - center) * plan.scales[:, None] + center
+    scaled = np.empty_like(points)
+    for j, c in enumerate(config.centroid):  # (p - c) * scale + c, column by column
+        col = scaled[:, j]
+        np.subtract(points[:, j], c, out=col)
+        col *= plan.scales
+        col += c
     lam, _ = codebook.nearest_many(scaled)
     return plan.categories * config.num_points + lam
 
@@ -299,17 +311,18 @@ def encode_layer(
 
 def _restore(theta: np.ndarray, cfg: CodebookConfig) -> np.ndarray:
     """The (len(theta), 2) float64 pairs that stored codes theta decode to."""
-    cats, lam = np.divmod(theta, cfg.num_points)
     half = cfg.box_side / 2.0
-    wrapped = cached_codebook(replace(cfg, centroid=(half, half), max_category=0, max_radius=0.0))
-    scales = _scale_factors(cats, cfg.box_side, cfg.max_radius, cfg.max_category)
-    center = np.array(cfg.centroid)
-    # In place, the float operations of _points and then (p - center) / scales + center.
-    restored = np.take(wrapped, lam, axis=0)
-    restored += center - half
-    restored -= center
-    restored /= scales[:, None]
-    restored += center
+    scales = _scale_factors(theta // cfg.num_points, cfg.box_side, cfg.max_radius,
+                            cfg.max_category)
+    restored = np.take(wrapped_points(cfg), theta % cfg.num_points, axis=0)
+    # In place, column by column, the float operations of build_codebook and
+    # then (p - c) / scale + c.
+    for j, c in enumerate(cfg.centroid):
+        col = restored[:, j]
+        col += c - half
+        col -= c
+        col /= scales
+        col += c
     return restored
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -406,6 +407,19 @@ class TestDeterminism:
         run(capsys, "compress", "--input", str(ntb), "--output", str(a))
         run(capsys, "compress", "--input", str(ntb), "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_reference_model_bytes_are_pinned(self, tmp_path, capsys):
+        # Every encoder and decoder change so far has kept these bytes; the
+        # digests pin what the fast encode arm writes for the reference model.
+        ntb, hcmp, out = tmp_path / "m.ntb", tmp_path / "m.hcmp", tmp_path / "r.ntb"
+        run(capsys, "gen", "--layers", "1300,650,325,160,2", "--seed", "1",
+            "--output", str(ntb))
+        run(capsys, "compress", "--input", str(ntb), "--output", str(hcmp))
+        run(capsys, "decompress", "--input", str(hcmp), "--output", str(out))
+        assert hashlib.sha256(hcmp.read_bytes()).hexdigest() == (
+            "d40d8a5b267dc4008a0f27d35f5e8c0cacaaca723ebfa4b2f8b76195d5e95472")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "95eecefdff9beaa0aa16327ed31a83841f8ed92552087b54e0c66ad6597e57d9")
 
     def test_gen_uniform_range(self, tmp_path, capsys):
         ntb = tmp_path / "m.ntb"

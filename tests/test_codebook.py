@@ -307,6 +307,24 @@ class TestNearest:
                 want = exhaustive_argmin(cb.points, queries)
                 assert (idx == want).all(), (centroid, side)
 
+    @pytest.mark.parametrize("mode", [GRID, PAPER])
+    def test_boxes_a_few_ulps_wide(self, mode):
+        # With l at the ulp of the centroid, y_hi - y_lo can round to 2 l, so a
+        # query clipped into the box rounds to a row position past isqrt(U).
+        for base in (3e7, 0.3):
+            for u in (9, 225, 1000):
+                for j in range(4):
+                    c = base + j * math.ulp(base)
+                    for side in np.array([1, 1.5, 2, 3]) * math.ulp(base):
+                        cb = build_codebook(config(side=side, u=u, mode=mode, centroid=(c, -c)))
+                        rng = np.random.default_rng(u)
+                        queries = np.vstack([
+                            rng.uniform(-3, 3, size=(100, 2)) * side + np.array([c, -c]),
+                            cb.points,
+                        ])
+                        idx, _ = cb.nearest_many(queries)
+                        assert (idx == exhaustive_argmin(cb.points, queries)).all()
+
     def test_rounding_settles_most_queries(self):
         # A certificate too cautious to settle anything would pass every
         # exactness test while leaving all the work to the sweep.
@@ -318,6 +336,53 @@ class TestNearest:
         lam, dsq, settled = cb._round(qx, qy)
         assert settled.mean() >= 0.7
         queries = np.stack([qx, qy], 1)[settled]
+        assert (lam[settled] == exhaustive_argmin(cb.points, queries)).all()
+        diff = cb.points[lam[settled]] - queries
+        assert dsq[settled].tobytes() == (diff[:, 0] ** 2 + diff[:, 1] ** 2).tobytes()
+
+    @pytest.mark.parametrize("u", [9, 10, 15, 16, 200, 1000, 2047])
+    @pytest.mark.parametrize("mode", [GRID, PAPER])
+    def test_stencil_matches_exhaustive_scan(self, u, mode):
+        # Row lengths differ when U is not a perfect square; queries out to 3 l
+        # past the box, at the moved top-row points and midway to their
+        # neighbours, and at midpoints within and across rows. Both the whole
+        # lookup and what the stencil settles on its own must be exact.
+        cfg = config(u=u, mode=mode, centroid=(0.2, -0.1))
+        cb = build_codebook(cfg)
+        rng = np.random.default_rng([u, int(mode)])
+        rows = point_rows(cfg, cb.points)
+        moved = cb.points[rows == math.isqrt(u)]
+        step = cfg.box_side / math.isqrt(u)
+        queries = np.vstack([
+            near_tie_queries(cfg, cb.points, rng, cap=400),
+            rng.uniform(-3.5, 3.5, size=(2000, 2)) * cfg.box_side + np.array(cfg.centroid),
+            moved,
+            moved + rng.uniform(-step, step, size=moved.shape),
+        ])
+        want = exhaustive_argmin(cb.points, queries)
+        idx, _ = cb.nearest_many(queries)
+        assert (idx == want).all()
+        lam, dsq, settled = cb._stencil(queries[:, 0], queries[:, 1])
+        assert settled.any()
+        assert (lam[settled] == want[settled]).all()
+        diff = cb.points[lam[settled]] - queries[settled]
+        assert dsq[settled].tobytes() == (diff[:, 0] ** 2 + diff[:, 1] ** 2).tobytes()
+
+    def test_stencil_settles_what_rounding_leaves(self):
+        # The sweep is the fallback for ties and extreme magnitudes, not a
+        # second stage: on disc queries, as the encoder asks them, rounding
+        # and the stencil together must settle nearly everything, exactly.
+        cb = build_codebook(config(side=0.1, u=225, centroid=(0.0, 0.0)))
+        rng = np.random.default_rng(6)
+        radius = 0.05 * np.sqrt(rng.uniform(size=20_000))
+        angle = rng.uniform(0, 2 * np.pi, size=20_000)
+        qx, qy = radius * np.cos(angle), radius * np.sin(angle)
+        _, _, rounded = cb._round(qx, qy)
+        rest = np.flatnonzero(~rounded)
+        lam, dsq, settled = cb._stencil(qx[rest], qy[rest])
+        assert rounded.sum() + settled.sum() >= 0.99 * len(qx)
+        rest = rest[settled]
+        queries = np.stack([qx[rest], qy[rest]], 1)
         assert (lam[settled] == exhaustive_argmin(cb.points, queries)).all()
         diff = cb.points[lam[settled]] - queries
         assert dsq[settled].tobytes() == (diff[:, 0] ** 2 + diff[:, 1] ** 2).tobytes()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -11,6 +12,7 @@ from hypc.codebook import CodebookConfig, DirectionMode, build_codebook, cached_
 from hypc.codec import (
     EncodeParams,
     EncodedLayer,
+    _categorize_distances,
     build_scale_plan,
     categorize,
     decode_layer,
@@ -110,6 +112,24 @@ class TestCategorize:
         assert categorize((0.04, 0.0), (0.0, 0.0), 0.0, 0.1, 0) == 0
         with pytest.raises(ConsistencyError):
             categorize((0.06, 0.0), (0.0, 0.0), 0.0, 0.1, 0)
+
+    @pytest.mark.parametrize("max_radius", [0.0, 1e-300, 1e30])
+    @pytest.mark.parametrize("m", [1, 3, 15, 65535])
+    def test_ring_index_matches_searchsorted_at_band_edges(self, max_radius, m):
+        # The closed-form ring guess must agree with a binary search over the
+        # bands exactly where rounding decides: at every band edge and at the
+        # neighbouring floats on both sides, also where the step is zero or
+        # far below ulp(half).
+        half = 0.05
+        bands = half + (max_radius / m) * np.arange(1, m + 1, dtype=np.float64)
+        edges = np.concatenate(([half], bands))
+        dists = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                np.nextafter(edges, np.inf), [0.0, half / 2]])
+        want = np.searchsorted(bands, dists, side="left") + 1
+        want[dists <= half] = 0
+        np.minimum(want, m, out=want)
+        got = _categorize_distances(dists, 2 * half, max_radius, m)
+        assert got.tolist() == want.tolist()
 
 
 class TestScaleFactor:
@@ -439,12 +459,13 @@ class TestDecodeTheta:
                 weights = hcmp_v1_spec.decode_weights(spec)
                 assert struct.pack(f"<{count}d", *weights) == decode_layer(layer).tobytes()
 
-    @pytest.mark.parametrize("u, m, limit_mb", [(225, 3, 12), (65536, 15, 26)])
+    @pytest.mark.parametrize("u, m, limit_mb", [(225, 3, 12), (65536, 15, 20)])
     def test_decode_peak_memory(self, u, m, limit_mb):
         # 422,500 pairs, as in the reference model's layer0.weight: at U = 225
         # they decode through a 900-code table, at U = 2^16 and M = 15 code by
-        # code. Measured peaks, codebook build included: 9.7 MB and 20.4 MB
-        # (19.4 MB and 20.4 MB before the table); the output alone is 6.4 MB.
+        # code. Measured peaks, codebook build included: 9.7 MiB and 17.1 MiB
+        # (20.4 MiB code by code while ring and index were held side by side
+        # with the scales); the output alone is 6.4 MiB.
         groups = 422_500
         theta = np.random.default_rng(u).integers(0, u * (m + 1), size=groups)
         width = int(theta.max()).bit_length()
@@ -460,3 +481,31 @@ class TestDecodeTheta:
         finally:
             tracemalloc.stop()
         assert peak < limit_mb * 2**20, peak
+
+
+class TestPinnedBytes:
+    def test_sweep_settings_bytes(self):
+        # The four (U, M, l) settings of the codec-sweep benchmark on a small
+        # seeded model: one digest over the HCMP bytes (payloads and configs)
+        # and one over the decoded floats. Tensors of 1 to 6,240 pairs take
+        # every lookup stage and both decode paths.
+        rng = np.random.default_rng(15)
+        half = np.float32(0.5)
+        tensors = [
+            ("w0", (96, 130), rng.random(12480, dtype=np.float32) - half),
+            ("b0", (163,), rng.random(163, dtype=np.float32) - half),
+            ("w1", (25, 13), rng.random(325, dtype=np.float32) - half),
+            ("b1", (1,), rng.random(1, dtype=np.float32) - half),
+            ("w2", (4001,), rng.normal(0, 0.03, 4001).astype(np.float32)),
+        ]
+        encoded, decoded = hashlib.sha256(), hashlib.sha256()
+        for u, m, side in ((225, 3, 0.1), (361, 8, 0.01), (4096, 3, 0.1), (65536, 15, 0.1)):
+            params = EncodeParams(box_side=side, num_points=u, max_category=m)
+            layers = [encode_layer(data, name, shape, params) for name, shape, data in tensors]
+            encoded.update(dump_hcmp(CompressedModel(layers)))
+            for layer in layers:
+                decoded.update(decode_layer(layer).tobytes())
+        assert encoded.hexdigest() == (
+            "0bb262c5934bee35afce3f6ae40c39738406ccf2cde8ad3ef43523c6652bf588")
+        assert decoded.hexdigest() == (
+            "9d4aed46091a729c2a36c5491b3758e07472d9470959bcb6af20f1b7bb1da4c2")
