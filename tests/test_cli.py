@@ -408,18 +408,36 @@ class TestDeterminism:
         run(capsys, "compress", "--input", str(ntb), "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_reference_model_bytes_are_pinned(self, tmp_path, capsys):
+    @pytest.fixture(scope="class")
+    def reference_model(self, tmp_path_factory):
+        """gen, compress and decompress of the reference model, run once."""
+        root = tmp_path_factory.mktemp("reference")
+        ntb, hcmp, out = root / "m.ntb", root / "m.hcmp", root / "r.ntb"
+        assert main(["gen", "--layers", "1300,650,325,160,2", "--seed", "1",
+                     "--output", str(ntb)]) == 0
+        assert main(["compress", "--input", str(ntb), "--output", str(hcmp)]) == 0
+        assert main(["decompress", "--input", str(hcmp), "--output", str(out)]) == 0
+        return ntb, hcmp, out
+
+    def test_reference_model_bytes_are_pinned(self, reference_model):
         # Every encoder and decoder change so far has kept these bytes; the
         # digests pin what the fast encode arm writes for the reference model.
-        ntb, hcmp, out = tmp_path / "m.ntb", tmp_path / "m.hcmp", tmp_path / "r.ntb"
-        run(capsys, "gen", "--layers", "1300,650,325,160,2", "--seed", "1",
-            "--output", str(ntb))
-        run(capsys, "compress", "--input", str(ntb), "--output", str(hcmp))
-        run(capsys, "decompress", "--input", str(hcmp), "--output", str(out))
+        _, hcmp, out = reference_model
         assert hashlib.sha256(hcmp.read_bytes()).hexdigest() == (
             "d40d8a5b267dc4008a0f27d35f5e8c0cacaaca723ebfa4b2f8b76195d5e95472")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "95eecefdff9beaa0aa16327ed31a83841f8ed92552087b54e0c66ad6597e57d9")
+
+    def test_reference_model_eval_is_pinned(self, reference_model, capsys):
+        # eval's JSON, text included: its means run over all 1.1 M weights in
+        # one summation order, which any blocking would change.
+        ntb, _, out = reference_model
+        capsys.readouterr()
+        code, text, _ = run(capsys, "eval", "--original", str(ntb), "--restored", str(out))
+        assert code == 0
+        assert text == json.dumps({"max_abs": 0.053445518016815186,
+                                   "mean_abs": 0.016570853668941437,
+                                   "rmse": 0.02005254369915634}) + "\n"
 
     def test_gen_uniform_range(self, tmp_path, capsys):
         ntb = tmp_path / "m.ntb"
