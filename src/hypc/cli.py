@@ -163,14 +163,17 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+def _flat_ntb(path) -> tuple[list[str], np.ndarray]:
+    """Tensor names and all weights of an NTB file; the bundle is freed on return."""
+    tensors = read_ntb(path).tensors
+    return [t.name for t in tensors], np.concatenate([t.data for t in tensors] or [np.zeros(0)])
+
+
 def _cmd_eval(args) -> int:
-    original = read_ntb(args.original)
-    restored = read_ntb(args.restored)
-    names = [t.name for t in original.tensors]
-    if names != [t.name for t in restored.tensors]:
+    names, flat_o = _flat_ntb(args.original)
+    restored_names, flat_r = _flat_ntb(args.restored)
+    if names != restored_names:
         raise DataError("bundles do not contain the same tensors in the same order")
-    flat_o = np.concatenate([t.data for t in original.tensors]) if names else np.zeros(0)
-    flat_r = np.concatenate([t.data for t in restored.tensors]) if names else np.zeros(0)
     stats = error_stats(flat_o, flat_r)
     _emit(stats, args.pretty,
           "\n".join(f"{k}: {v:.6e}" for k, v in stats.items()))

@@ -209,7 +209,8 @@ class Codebook:
         ``err`` for each of the two points. So a candidate closer than
         ``min(pitch - |dx|, h - |dy|) - 2 * err`` is the unique nearest point;
         the relative margin covers the rounding of the scan's ``dx*dx + dy*dy``
-        and of the bound itself. Unsettled queries go to the stencil.
+        and of the bound itself. A bound clipped to 0 settles nothing, and
+        squaring it cannot overflow. Unsettled queries go to the stencil.
         """
         root = self._root
         x_lo, x_hi, y_lo, y_hi = self.config.box
@@ -224,8 +225,8 @@ class Codebook:
         dsq = ddx * ddx + ddy * ddy
         np.abs(ddx, out=ddx)
         np.abs(ddy, out=ddy)
-        bound = np.minimum(self._pitch - ddx, self._h - ddy) - 2 * self._err
-        settled = (bound > 0) & (dsq < bound * bound * (1 - 1e-12))
+        bound = np.maximum(np.minimum(self._pitch - ddx, self._h - ddy) - 2 * self._err, 0)
+        settled = dsq < bound * bound * (1 - 1e-12)
         return lam, dsq, settled
 
     def _stencil(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,8 +265,8 @@ class Codebook:
         below = np.where(pos0 < 2, np.inf, qy - (y_lo + (pos0 - 2) * h))
         above = np.where(pos0 + 2 > root, np.inf, y_lo + (pos0 + 2) * h - qy)
         bound = np.minimum(np.minimum(left, right).min(axis=0), np.minimum(below, above))
-        bound -= 2 * self._err
-        settled = (bound > 0) & (dsq < bound * bound * (1 - 1e-12))
+        np.maximum(bound - 2 * self._err, 0, out=bound)
+        settled = dsq < bound * bound * (1 - 1e-12)
         return lam, dsq, settled
 
     @cached_property

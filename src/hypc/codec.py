@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import (
+    _QUERY_BLOCK,
     Codebook,
     CodebookConfig,
     DirectionMode,
@@ -223,19 +224,24 @@ def _plan_from_distances(dists: np.ndarray, config: CodebookConfig) -> ScalePlan
 def _encode_thetas(
     points: np.ndarray, dists: np.ndarray, config: CodebookConfig, codebook: Codebook
 ) -> np.ndarray:
-    """Whole-array ring plan, rescale and row-sweep nearest lookup.
+    """Ring plan, rescale and nearest lookup, per block of ``_QUERY_BLOCK`` pairs.
 
-    A function of its own so the (G, 2) temporaries are freed before packing.
+    Elementwise given the whole layer's dists, centroid and max_radius: blocks
+    give the same floats as one pass, with temporaries a block's size.
     """
-    plan = _plan_from_distances(dists, config)
-    scaled = np.empty_like(points)
-    for j, c in enumerate(config.centroid):  # (p - c) * scale + c, column by column
-        col = scaled[:, j]
-        np.subtract(points[:, j], c, out=col)
-        col *= plan.scales
-        col += c
-    lam, _ = codebook.nearest_many(scaled)
-    return plan.categories * config.num_points + lam
+    theta = np.empty(len(points), dtype=np.int64)
+    for lo in range(0, len(points), _QUERY_BLOCK):
+        block = slice(lo, lo + _QUERY_BLOCK)
+        plan = _plan_from_distances(dists[block], config)
+        scaled = np.empty_like(points[block])
+        for j, c in enumerate(config.centroid):  # (p - c) * scale + c, column by column
+            col = scaled[:, j]
+            np.subtract(points[block, j], c, out=col)
+            col *= plan.scales
+            col += c
+        lam, _ = codebook.nearest_many(scaled)
+        theta[block] = plan.categories * config.num_points + lam
+    return theta
 
 
 def _reference_thetas(
@@ -278,35 +284,34 @@ def encode_layer(
 ) -> EncodedLayer:
     """Compress one tensor into an EncodedLayer.
 
-    ``reference=True`` swaps the whole-array arithmetic and row-sweep lookup for
-    the per-group scalar path with an exhaustive scan; both return
-    byte-identical payloads.
+    The centroid, pair distances and max_radius run over the whole layer; the
+    ring plan, rescale, lookup and packing per block of ``_QUERY_BLOCK`` pairs.
+    A pair distance that overflows float64 is a DataError. ``reference=True``
+    swaps the block arithmetic and lattice lookup for the per-group scalar path
+    with an exhaustive scan; both return byte-identical payloads.
     """
     shape = tuple(int(s) for s in shape)
     flat = np.asarray(weights, dtype=np.float64).ravel()
     if math.prod(shape) != flat.size:
         raise DataError(f"shape {shape} does not match {flat.size} weights")
-    points, padded, pad_value = group_pairs(flat)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        points, padded, pad_value = group_pairs(flat)
+        centroid, max_radius, dists = _analyze(points) if len(points) else ((0.0, 0.0), 0.0, None)
+    if not math.isfinite(max_radius):
+        g = int(np.flatnonzero(~np.isfinite(dists))[0])
+        raise DataError(f"weight {2 * g}: its pair's distance to the centroid overflows")
+    config = CodebookConfig(params.box_side, params.num_points, params.max_category,
+                            params.direction_mode, centroid, max_radius)
     if len(points) == 0:
-        config = CodebookConfig(
-            params.box_side, params.num_points, params.max_category,
-            params.direction_mode, (0.0, 0.0), 0.0,
-        )
         return EncodedLayer(name, shape, 0, False, config, 1, b"", 0.0)
-    centroid, max_radius, dists = _analyze(points)
-    config = CodebookConfig(
-        params.box_side, params.num_points, params.max_category,
-        params.direction_mode, centroid, max_radius,
-    )
     if reference:
         theta = _reference_thetas(points, config, _points(config))
     else:
         theta = _encode_thetas(points, dists, config, build_codebook(config))
+    del flat, points, dists
     bit_width = max(1, int(theta.max()).bit_length())
     payload = pack_bits(theta, bit_width)
-    return EncodedLayer(
-        name, shape, flat.size, padded, config, bit_width, payload, pad_value
-    )
+    return EncodedLayer(name, shape, math.prod(shape), padded, config, bit_width, payload, pad_value)
 
 
 def _restore(theta: np.ndarray, cfg: CodebookConfig) -> np.ndarray:
@@ -353,20 +358,25 @@ def pack_bits(values, bit_width: int) -> bytes:
     """Lay integers down LSB-first, bit_width bits each, no per-value padding."""
     if not 1 <= bit_width <= 32:
         raise ValueError(f"bit_width must be in [1, 32], got {bit_width}")
-    arr = np.asarray(values)
+    arr = np.asarray(values).reshape(-1)
     if arr.size == 0:
         return b""
     lo = int(arr.min())
     hi = int(arr.max())
     if lo < 0 or hi >= (1 << bit_width):
         raise ValueError(f"value {lo if lo < 0 else hi} does not fit in {bit_width} bits")
-    # Shifted by its offset in 32-bit word bitpos >> 5, a value spans at most 63
-    # bits; values never share a bit, so the float64 sums over words are exact ORs.
-    bitpos = np.arange(arr.size, dtype=np.int64) * bit_width
-    shifted = arr.astype(np.int64, copy=False).reshape(-1) << (bitpos & 31)
-    words = np.bincount((bitpos >> 5) + 1, weights=shifted >> 32)
-    words[:-1] += np.bincount(bitpos >> 5, weights=shifted & 0xFFFFFFFF)
-    return words.astype("<u4").tobytes()[: (arr.size * bit_width + 7) // 8]
+    # Blocks of _QUERY_BLOCK values, a multiple of 32, each start on a 32-bit word.
+    # Shifted by its offset in word bitpos >> 5, a value spans at most 63 bits;
+    # values never share a bit, so the float64 sums over words are exact ORs.
+    words = np.empty(((arr.size - 1) * bit_width >> 5) + 2, dtype="<u4")
+    for first in range(0, arr.size, _QUERY_BLOCK):
+        block = arr[first : first + _QUERY_BLOCK].astype(np.int64, copy=False)
+        bitpos = np.arange(block.size, dtype=np.int64) * bit_width
+        shifted = block << (bitpos & 31)
+        part = np.bincount((bitpos >> 5) + 1, weights=shifted >> 32)
+        part[:-1] += np.bincount(bitpos >> 5, weights=shifted & 0xFFFFFFFF)
+        words[first * bit_width >> 5 :][: part.size] = part
+    return words.view(np.uint8)[: (arr.size * bit_width + 7) // 8].tobytes()
 
 
 def unpack_bits(data: bytes, bit_width: int, count: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from hypc.codec import (
     scale_factor,
     unpack_bits,
 )
+from hypc import codec
 from hypc.container import CompressedModel, dump_hcmp
 from hypc.errors import ConsistencyError, DataError, FormatError
 
@@ -216,12 +217,16 @@ def matrix_unpack(data: bytes, bit_width: int, count: int) -> np.ndarray:
 
 class TestPackBitsOracle:
     LENGTHS = (1, 7, 8, 9, 63, 64, 65, 4097)
+    # pack_bits works in blocks of 2^15 values: these lengths put values on
+    # both sides of one or more block boundaries, and end a block short.
+    BLOCK_LENGTHS = (2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7)
 
     @pytest.mark.parametrize("width", range(1, 33))
     def test_matches_the_bit_matrix(self, width):
         rng = np.random.default_rng(width)
         top = (1 << width) - 1
-        for count in self.LENGTHS:
+        lengths = self.LENGTHS + (self.BLOCK_LENGTHS if width in (1, 7, 20, 32) else ())
+        for count in lengths:
             for values in (rng.integers(0, top + 1, size=count), np.full(count, top)):
                 data = pack_bits(values, width)
                 assert data == matrix_pack(values, width), count
@@ -356,6 +361,49 @@ class TestEncodeDecode:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
             encode_layer([1.0, 2.0], "w", (3,), PARAMS)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights, first", [
+        ([1e300, -1e300, 0.0, 1.0], 0),
+        # Only the last pair's distance (1.5e154) overflows when squared.
+        ([0.0] * 6 + [2e154, 0.0], 6),
+    ])
+    def test_overflowing_distance_names_the_weight(self, weights, first):
+        with pytest.raises(DataError, match=f"weight {first}: .* overflows"):
+            encode_layer(np.array(weights), "w", (len(weights),), PARAMS)
+
+    @pytest.mark.filterwarnings("error")
+    def test_near_float_max_encodes_without_warning(self):
+        # The lattice certificate's bound is hugely negative here; squared
+        # unclipped, it overflowed (with a warning) before settling nothing.
+        for reference in (False, True):
+            enc = encode_layer(np.array([1.7e308, 0.0]), "w", (2,), PARAMS,
+                               reference=reference)
+            assert (enc.payload, enc.bit_width) == (b"\xad", 8)
+            assert enc.config.centroid == (1.7e308, 0.0)
+
+    @pytest.mark.parametrize("block", [32, 96])
+    def test_block_size_leaves_bytes_unchanged(self, monkeypatch, block):
+        # Plan, rescale, lookup and packing run per block of pairs; any block
+        # size that is a multiple of 32 must give the one-pass bytes.
+        weights = np.random.default_rng(8).normal(scale=0.3, size=4001)
+        whole = encode_layer(weights, "w", (4001,), PARAMS)
+        monkeypatch.setattr(codec, "_QUERY_BLOCK", block)
+        assert encode_layer(weights, "w", (4001,), PARAMS) == whole
+
+    def test_encode_peak_memory(self):
+        # layer0.weight of the reference model: 845,000 float32 weights. The
+        # float64 copy and the distances (9.7 MiB) live through the blocks, and
+        # the codes (3.2 MiB) through packing; measured peak 17.4 MiB, against
+        # 32.2 MiB with whole-layer plan, lookup and packing.
+        weights = np.random.default_rng(9).random(845_000, dtype=np.float32) - np.float32(0.5)
+        tracemalloc.start()
+        try:
+            encode_layer(weights, "layer0.weight", (650, 1300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22 * 2**20, peak
 
 
 class TestDecodeTheta:
