@@ -9,10 +9,9 @@ from .errors import DataError
 
 
 def error_stats(original, restored) -> dict[str, float]:
-    """max_abs / mean_abs / rmse between two equal-length weight vectors.
-
-    One float64 difference (cast as by asarray(x, float64)), made |d| and then
-    d*d in place; the inputs are never written."""
+    """max_abs / mean_abs / rmse between two equal-length weight vectors: one
+    float64 difference (cast as by asarray), |d| then d*d in place, the max and
+    both means each over the whole array. Inputs are never written."""
     a = np.asarray(original).ravel()
     b = np.asarray(restored).ravel()
     if a.size != b.size:

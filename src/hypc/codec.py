@@ -5,8 +5,8 @@ centroid, classify points into distance rings, shrink each ring onto the box,
 snap to the nearest codebook point, and store ``ring * num_points + index``
 as a bit-packed integer stream. Decoding inverts every step exactly.
 
-The whole-array path and the per-group reference path produce bit-identical
-indices; the reference path doubles as the slow arm of the speed ablation.
+The block path (per ``_QUERY_BLOCK`` pairs) and the per-group reference path
+produce bit-identical indices; the reference path is the speed ablation's slow arm.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def _reference_thetas(
 ) -> np.ndarray:
     """Per-group scalar arithmetic and an exhaustive scan, first minimum on ties.
 
-    Must reproduce the whole-array path's indices exactly.
+    Must reproduce the block path's indices exactly.
     """
     num_points = config.num_points
     box, radius, rings = config.box_side, config.max_radius, config.max_category
@@ -299,7 +299,7 @@ def encode_layer(
         centroid, max_radius, dists = _analyze(points) if len(points) else ((0.0, 0.0), 0.0, None)
     if not math.isfinite(max_radius):
         g = int(np.flatnonzero(~np.isfinite(dists))[0])
-        raise DataError(f"weight {2 * g}: its pair's distance to the centroid overflows")
+        raise DataError(f"weight {2 * g}: its pair's distance to centroid {centroid} overflows")
     config = CodebookConfig(params.box_side, params.num_points, params.max_category,
                             params.direction_mode, centroid, max_radius)
     if len(points) == 0:
@@ -365,9 +365,10 @@ def pack_bits(values, bit_width: int) -> bytes:
     hi = int(arr.max())
     if lo < 0 or hi >= (1 << bit_width):
         raise ValueError(f"value {lo if lo < 0 else hi} does not fit in {bit_width} bits")
-    # Blocks of _QUERY_BLOCK values, a multiple of 32, each start on a 32-bit word.
-    # Shifted by its offset in word bitpos >> 5, a value spans at most 63 bits;
-    # values never share a bit, so the float64 sums over words are exact ORs.
+    # Shifted by its offset in 32-bit word bitpos >> 5, a value spans at most 63
+    # bits; values never share a bit, so the float64 sums over words are exact ORs.
+    # A block of _QUERY_BLOCK values (a multiple of 32) ends on a word: its zero
+    # spill word past the end is the next block's first, which overwrites it.
     words = np.empty(((arr.size - 1) * bit_width >> 5) + 2, dtype="<u4")
     for first in range(0, arr.size, _QUERY_BLOCK):
         block = arr[first : first + _QUERY_BLOCK].astype(np.int64, copy=False)

@@ -395,7 +395,7 @@ class TestEncodeDecode:
         # layer0.weight of the reference model: 845,000 float32 weights. The
         # float64 copy and the distances (9.7 MiB) live through the blocks, and
         # the codes (3.2 MiB) through packing; measured peak 17.4 MiB, against
-        # 32.2 MiB with whole-layer plan, lookup and packing.
+        # 32.3 MiB with whole-layer plan, lookup and packing.
         weights = np.random.default_rng(9).random(845_000, dtype=np.float32) - np.float32(0.5)
         tracemalloc.start()
         try:
