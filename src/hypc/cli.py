@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -76,20 +77,26 @@ def _json_object(value, what: str, keys) -> dict:
 
 
 def _params_from_spec(spec, base: EncodeParams, what: str) -> EncodeParams:
+    """Nothing is coerced: u and max_class must be JSON integers, l a JSON
+    number, and booleans are neither."""
     spec = _json_object(spec, what, ("l", "u", "max_class", "direction"))
+    for key, kind in (("u", "integer"), ("max_class", "integer"), ("l", "number")):
+        value = spec.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, (int, float) if key == "l" else int):
+            raise DataError(f"--per-layer: {what}: {key!r} must be a JSON {kind}, got {value!r}")
     direction = spec.get("direction")
     if direction is not None and (not isinstance(direction, str)
                                   or direction not in _DIRECTIONS):
-        raise DataError(f"unknown direction {direction!r} (choose grid or paper)")
+        raise DataError(f"--per-layer: {what}: 'direction' must be grid or paper, got {direction!r}")
     try:
         return EncodeParams(
             box_side=float(spec.get("l", base.box_side)),
-            num_points=int(spec.get("u", base.num_points)),
-            max_category=int(spec.get("max_class", base.max_category)),
+            num_points=spec.get("u", base.num_points),
+            max_category=spec.get("max_class", base.max_category),
             direction_mode=_DIRECTIONS[direction] if direction else base.direction_mode,
         )
-    except (TypeError, OverflowError) as exc:
-        raise DataError(f"--per-layer: {what}: {exc}") from None
+    except OverflowError as exc:
+        raise DataError(f"--per-layer: {what}: 'l': {exc}") from None
 
 
 def _cmd_compress(args) -> int:
@@ -174,7 +181,17 @@ def _cmd_eval(args) -> int:
     restored_names, flat_r = _flat_ntb(args.restored)
     if names != restored_names:
         raise DataError("bundles do not contain the same tensors in the same order")
-    stats = error_stats(flat_o, flat_r)
+    with np.errstate(invalid="ignore"):  # inf - inf; reported below
+        stats = error_stats(flat_o, flat_r)
+    # float32 differences cannot overflow: only a NaN or inf weight makes
+    # max_abs non-finite, so finite files pay for no extra pass.
+    if not math.isfinite(stats["max_abs"]):
+        for path in (args.original, args.restored):
+            for t in read_ntb(path).tensors:
+                bad = np.flatnonzero(~np.isfinite(t.data))
+                if bad.size:
+                    raise DataError(f"{path}: tensor {t.name!r} element {bad[0]} "
+                                    f"is not finite: {t.data[bad[0]]}")
     _emit(stats, args.pretty,
           "\n".join(f"{k}: {v:.6e}" for k, v in stats.items()))
     return 0

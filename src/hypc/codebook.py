@@ -4,12 +4,12 @@ A codebook is the finite set of points ``tau(lam * a)`` for ``lam = 0 .. num_poi
 where ``tau`` wraps coordinates into a square box centered on the layer's centroid and
 ``a`` is the per-step direction vector. Decoding only reads points by index
 (``cached_codebook``). Encoding (``build_codebook``) looks each query up in
-three stages: it rounds the query to a lattice point, then examines the 3x3
-lattice neighbourhood of what rounding leaves open, and keeps a candidate when
-a distance certificate proves it the unique nearest; the rest go to a sweep
-over the points' horizontal rows, outward from the query. All equal an
-exhaustive scan, including the smallest-index rule on exact ties. Nothing here
-needs scipy.
+three stages: it rounds the query to a lattice point, kept when the query lies
+in a box inside that point's Voronoi cell; it examines the 3x3 lattice
+neighbourhood of what rounding leaves open, kept when a distance certificate
+proves a candidate the unique nearest; the rest go to a sweep over the points'
+horizontal rows, outward from the query. All equal an exhaustive scan,
+including the smallest-index rule on exact ties. Nothing here needs scipy.
 """
 
 from __future__ import annotations
@@ -136,12 +136,12 @@ class Codebook:
     ``y_lo + r * l / isqrt(U)``, where the top row holds the bottom-row points
     that ``np.mod`` rounded up to ``y ~ l``. Point ``lam`` sits near row
     ``lam % isqrt(U)`` at ``x_lo + lam * dx``, so rounding a query to that
-    lattice finds a candidate in O(1) (``_round``). Queries its certificate
-    does not settle get the nine lattice points of the three rows and three
-    in-row indices around them (``_stencil``), and the few that stay open go to
-    the row sweep (``_RowSweep``, indexed on first use). Built only to encode
-    (``build_codebook``); decoding reads the points alone. Safe for concurrent
-    readers.
+    lattice finds a candidate in O(1), settled by a box in its Voronoi cell
+    (``_round``). Queries outside the box get the nine lattice points of the
+    three rows and three in-row indices around them (``_stencil``), and the
+    few that stay open go to the row sweep (``_RowSweep``, indexed on first
+    use). Built only to encode (``build_codebook``); decoding reads the points
+    alone. Safe for concurrent readers.
     """
 
     def __init__(self, config: CodebookConfig, points: np.ndarray):
@@ -155,9 +155,10 @@ class Codebook:
         self._root = root
         self._dx, self._h = direction_vector(config.num_points, config.box_side,
                                              config.direction_mode)
-        self._pitch = root * self._dx
         corner = max(abs(c) for c in config.box)
         self._err = 4 * (root + 2) * math.ulp(config.box_side) + 4 * math.ulp(corner)
+        margin = 4 * (root + 4) * self._err + 1e-9 * self._h
+        self._box = (root * self._dx / 2 - margin, self._h / 2 - margin)
         # For each row position p in [0, root]: the rows at positions p - 1,
         # p and p + 1 (mod root) and the last in-row index of each, as float.
         self._rows = np.mod(np.arange(root + 1) + _STEPS, root)
@@ -204,13 +205,23 @@ class Codebook:
     def _round(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Round each query to a lattice point: (index, dsq, settled).
 
-        Every other point is at least the in-row pitch ``root * dx`` away in x
-        (same row) or ``h`` away in y (another row, the top row included), less
-        ``err`` for each of the two points. So a candidate closer than
-        ``min(pitch - |dx|, h - |dy|) - 2 * err`` is the unique nearest point;
-        the relative margin covers the rounding of the scan's ``dx*dx + dy*dy``
-        and of the bound itself. A bound clipped to 0 settles nothing, and
-        squaring it cannot overflow. Unsettled queries go to the stencil.
+        Each stored point lies within ``err`` per coordinate of the lattice
+        {(x_lo + a*dx, y_lo + b*h): a = b mod root, 0 <= b <= root}, generated
+        by (pitch, 0) and (dx, h) with pitch = root*dx <= h (b = root holds the
+        moved row-0 points). With d = query - candidate, the box |d_x| <
+        pitch/2 - mu, |d_y| < h/2 - |d_x|*dx/h - mu lies in the candidate's
+        Voronoi cell: |v|^2 - 2|d_x||v_x| - 2|d_y||v_y| > 0 for every other
+        lattice vector v. Same position (v_y = 0): |v_x| >= pitch > 2|d_x|,
+        leaving 2*mu*|v_x|. Adjacent position (|v_y| = h): the nearest two,
+        at |v_x| = dx and pitch - dx, each leave dx^2, the others more, and the
+        margin adds 2*mu*h. Two or more positions away: at least 2h^2 -
+        pitch^2/4 > 0. Missing points only remove competitors. The two points'
+        errors move the scan's distance difference by at most 4*err*(|v_x| +
+        |v_y| + |d_x| + |d_y|), which mu = 4*(root + 4)*err covers in every
+        case (h/pitch < root + 3); 1e-9*h covers the rounding of the scan's
+        ``dx*dx + dy*dy`` and of the box test, which squares nothing. Where mu
+        swamps pitch/2 (collapsed codebooks, boxes a few ulps wide) the box is
+        empty. Unsettled queries go to the stencil.
         """
         root = self._root
         x_lo, x_hi, y_lo, y_hi = self.config.box
@@ -224,9 +235,10 @@ class Codebook:
         ddy = np.take(self._cols[1], lam) - qy
         dsq = ddx * ddx + ddy * ddy
         np.abs(ddx, out=ddx)
-        np.abs(ddy, out=ddy)
-        bound = np.maximum(np.minimum(self._pitch - ddx, self._h - ddy) - 2 * self._err, 0)
-        settled = dsq < bound * bound * (1 - 1e-12)
+        settled = ddx < self._box[0]
+        ddx *= self._dx / self._h
+        ddx += np.abs(ddy, out=ddy)
+        settled &= ddx < self._box[1]
         return lam, dsq, settled
 
     def _stencil(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

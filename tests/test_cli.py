@@ -236,6 +236,17 @@ class TestErrors:
         {"default": {"u": None}},
         {"default": {"direction": ["grid"]}},
         {"default": {"u": math.inf}},  # written as Infinity, read back as inf
+        # Nothing is coerced: u and max_class are JSON integers, l a JSON
+        # number, and booleans are neither.
+        {"default": {"u": 16.7}},
+        {"default": {"u": 64.0}},
+        {"default": {"max_class": 2.9}},
+        {"default": {"u": True}},
+        {"default": {"max_class": False}},
+        {"default": {"u": "64"}},
+        {"default": {"l": True}},
+        {"default": {"l": "0.1"}},
+        {"default": {"l": None}},
     ])
     def test_malformed_overrides_rejected(self, tmp_path, capsys, overrides):
         ntb = tmp_path / "m.ntb"
@@ -247,6 +258,9 @@ class TestErrors:
                              "--output", str(target), "--per-layer", str(spec))
         assert code == 1 and out == "" and not target.exists()
         assert err.startswith("error: ") and err.strip().count("\n") == 0
+        default = overrides.get("default") if isinstance(overrides, dict) else None
+        for key in default if isinstance(default, dict) else ():
+            assert repr(key) in err
 
     @pytest.mark.parametrize("overrides, key", [
         ({"default": {"U": 64}}, "U"),
@@ -264,6 +278,21 @@ class TestErrors:
         assert code == 1 and out == "" and not target.exists()
         assert err.startswith("error: ") and err.strip().count("\n") == 0
         assert repr(key) in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", ["original", "restored"])
+    def test_eval_names_a_non_finite_weight(self, tmp_path, capsys, value, bad):
+        ntb = tmp_path / "m.ntb"
+        run(capsys, "gen", "--layers", "4,3,2", "--seed", "0", "--output", str(ntb))
+        tensors = read_ntb(ntb).tensors
+        tensors[2].data[1] = value
+        write_ntb(TensorBundle(tensors), tmp_path / "bad.ntb")
+        paths = {"original": str(ntb), "restored": str(ntb), bad: str(tmp_path / "bad.ntb")}
+        code, out, err = run(capsys, "eval", "--original", paths["original"],
+                             "--restored", paths["restored"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.strip().count("\n") == 0
+        assert f"bad.ntb: tensor {tensors[2].name!r} element 1 is not finite: " in err
 
     def test_pipelined_infer_on_wrong_width_exits(self, tmp_path, capsys):
         # A compute error in the pipelined arm must end the command, not hang it.

@@ -340,6 +340,63 @@ class TestNearest:
         diff = cb.points[lam[settled]] - queries
         assert dsq[settled].tobytes() == (diff[:, 0] ** 2 + diff[:, 1] ** 2).tobytes()
 
+    def test_rounding_settles_nearly_all_disc_queries(self):
+        # The same disc queries: the box inside each lattice point's Voronoi
+        # cell settles 95.8% of them.
+        cb = build_codebook(config(side=0.1, u=225, centroid=(0.0, 0.0)))
+        rng = np.random.default_rng(5)
+        radius = 0.05 * np.sqrt(rng.uniform(size=20_000))
+        angle = rng.uniform(0, 2 * np.pi, size=20_000)
+        _, _, settled = cb._round(radius * np.cos(angle), radius * np.sin(angle))
+        assert settled.mean() >= 0.95
+
+    @pytest.mark.parametrize("u", [1, 2, 3, 4, 9, 10, 15, 16, 200, 225, 361, 1000, 2047,
+                                   4096, 65536])
+    @pytest.mark.parametrize("mode", [GRID, PAPER])
+    def test_rounding_box_edges_match_exhaustive_scan(self, u, mode):
+        # Queries a few ulps and a few err either side of the box's edges,
+        # |d_x| = pitch/2 and |d_y| = h/2 - |d_x|*dx/h, of the box less its
+        # margin, and of the flat top |d_y| = h/2, around random points:
+        # whatever rounding settles must equal the exhaustive scan in index and
+        # in dsq bytes. Each case says whether some query must settle: boxes a
+        # few ulps wide settle none, and far from the origin at small l that
+        # depends on U and the mode (the margin grows with the centroid's ulp).
+        rng = np.random.default_rng([u, int(mode), 17])
+        root = math.isqrt(u)
+        cases = [((0.2, -0.1), 0.37, True), ((3e7, -3e7), 10.0, True),
+                 ((3e7, -3e7), 0.37, None), ((-2.5e7, 1.2e6), 0.37, None),
+                 ((1e6, 3e7), 1e-3, None)]
+        cases += [((0.3, -0.3), k * math.ulp(0.3), False) for k in (1, 2, 3)]
+        for centroid, side, settles in cases:
+            cb = build_codebook(config(side=side, u=u, mode=mode, centroid=centroid))
+            dx, h = direction_vector(u, side, mode)
+            half = root * dx / 2
+            margin = half - cb._box[0]
+            ulp = math.ulp(max(abs(c) for c in cb.config.box))
+            nudges = np.concatenate([
+                np.array([-6, -3, -1, 0, 1, 3, 6]) * ulp,
+                np.array([-4, -1, 1, 4]) * cb._err,
+                -margin + np.array([-3, -1, 0, 1, 3]) * ulp,
+            ])
+            n = 300
+            t = rng.uniform(0, half, n)
+            edge_x = half + rng.choice(nudges, n)
+            kinds = [
+                (edge_x, rng.uniform(0, 1, n) * (h / 2 - half * dx / h)),  # x edge
+                (t, h / 2 - t * dx / h + rng.choice(nudges, n)),  # slanted y edge
+                (t, h / 2 + rng.choice(nudges, n)),  # flat top
+                (edge_x, h / 2 - edge_x * dx / h + rng.choice(nudges, n)),  # corner
+            ]
+            d = np.vstack([np.stack(kind, 1) for kind in kinds])
+            d *= rng.choice([-1.0, 1.0], size=d.shape)
+            queries = cb.points[rng.integers(0, u, len(d))] + d
+            lam, dsq, settled = cb._round(queries[:, 0], queries[:, 1])
+            assert settles is None or settled.any() == settles, (centroid, side)
+            queries = queries[settled]
+            assert (lam[settled] == exhaustive_argmin(cb.points, queries)).all(), (centroid, side)
+            diff = cb.points[lam[settled]] - queries
+            assert dsq[settled].tobytes() == (diff[:, 0] ** 2 + diff[:, 1] ** 2).tobytes()
+
     @pytest.mark.parametrize("u", [9, 10, 15, 16, 200, 1000, 2047])
     @pytest.mark.parametrize("mode", [GRID, PAPER])
     def test_stencil_matches_exhaustive_scan(self, u, mode):
