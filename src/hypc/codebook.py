@@ -213,15 +213,16 @@ class Codebook:
         Voronoi cell: |v|^2 - 2|d_x||v_x| - 2|d_y||v_y| > 0 for every other
         lattice vector v. Same position (v_y = 0): |v_x| >= pitch > 2|d_x|,
         leaving 2*mu*|v_x|. Adjacent position (|v_y| = h): the nearest two,
-        at |v_x| = dx and pitch - dx, each leave dx^2, the others more, and the
-        margin adds 2*mu*h. Two or more positions away: at least 2h^2 -
-        pitch^2/4 > 0. Missing points only remove competitors. The two points'
-        errors move the scan's distance difference by at most 4*err*(|v_x| +
-        |v_y| + |d_x| + |d_y|), which mu = 4*(root + 4)*err covers in every
-        case (h/pitch < root + 3); 1e-9*h covers the rounding of the scan's
-        ``dx*dx + dy*dy`` and of the box test, which squares nothing. Where mu
-        swamps pitch/2 (collapsed codebooks, boxes a few ulps wide) the box is
-        empty. Unsettled queries go to the stencil.
+        at |v_x| = dx and pitch - dx, leave dx^2 (2|d_x|*dx at pitch - dx = 0
+        when root = 1), the others more, and the margin adds 2*mu*h. Two or
+        more positions away: at least 2h^2 - pitch^2/4 > 0. Missing points only
+        remove competitors. The two points' errors move the scan's distance
+        difference by at most 4*err*(|v_x| + |v_y| + |d_x| + |d_y|), which
+        mu = 4*(root + 4)*err covers in every case (h/pitch < root + 3);
+        1e-9*h covers the rounding of the scan's ``dx*dx + dy*dy`` and of the
+        box test, which squares nothing. Where mu swamps pitch/2 (collapsed
+        codebooks, boxes a few ulps wide) the box is empty. Unsettled queries
+        go to the stencil.
         """
         root = self._root
         x_lo, x_hi, y_lo, y_hi = self.config.box
