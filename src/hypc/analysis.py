@@ -4,24 +4,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codec import EncodeParams, decode_layer, encode_layer
+from .codec import EncodeParams, _tree_sum, decode_layer, encode_layer
 from .errors import DataError
 
 
 def error_stats(original, restored) -> dict[str, float]:
-    """max_abs / mean_abs / rmse between two equal-length weight vectors: one
-    float64 difference (cast as by asarray), |d| then d*d in place, the max and
-    both means each over the whole array. Inputs are never written."""
+    """max_abs / mean_abs / rmse between two equal-length weight vectors. The
+    float64 difference (cast as by asarray) is formed one _tree_sum leaf at a
+    time, |d| then d*d in place, so both means add in the order of one
+    whole-array mean, bit for bit. Inputs are never written."""
     a = np.asarray(original).ravel()
     b = np.asarray(restored).ravel()
     if a.size != b.size:
         raise DataError(f"length mismatch: {a.size} vs {b.size}")
     if a.size == 0:
         return {"max_abs": 0.0, "mean_abs": 0.0, "rmse": 0.0}
-    diff = np.subtract(a, b, dtype=np.float64, casting="unsafe")
-    max_abs, mean_abs = float(np.abs(diff, out=diff).max()), float(diff.mean())
-    diff *= diff
-    return {"max_abs": max_abs, "mean_abs": mean_abs, "rmse": float(np.sqrt(diff.mean()))}
+    peaks = []
+
+    def leaf(lo: int, hi: int) -> np.ndarray:
+        diff = np.subtract(a[lo:hi], b[lo:hi], dtype=np.float64, casting="unsafe")
+        np.abs(diff, out=diff)
+        peaks.append(diff.max())
+        abs_sum = np.add.reduce(diff)
+        diff *= diff
+        return np.array([abs_sum, np.add.reduce(diff)])
+
+    abs_sum, square_sum = _tree_sum(a.size, leaf)
+    return {"max_abs": float(np.max(peaks)), "mean_abs": float(abs_sum / a.size),
+            "rmse": float(np.sqrt(square_sum / a.size))}
 
 
 def compression_ratio(original_bytes: float, compressed_bytes: float) -> float:

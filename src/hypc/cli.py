@@ -138,7 +138,7 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     model = read_hcmp(args.input)
     tensors = [
-        Tensor(l.name, l.shape, decode_layer(l).astype(np.float32))
+        Tensor(l.name, l.shape, decode_layer(l, np.float32))
         for l in model.layers
     ]
     write_ntb(TensorBundle(tensors), args.output)
@@ -170,24 +170,18 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _flat_ntb(path) -> tuple[list[str], np.ndarray]:
-    """Tensor names and all weights of an NTB file; the bundle is freed on return."""
-    tensors = read_ntb(path).tensors
-    return [t.name for t in tensors], np.concatenate([t.data for t in tensors] or [np.zeros(0)])
-
-
 def _cmd_eval(args) -> int:
-    names, flat_o = _flat_ntb(args.original)
-    restored_names, flat_r = _flat_ntb(args.restored)
-    if names != restored_names:
+    paths = (args.original, args.restored)
+    original, restored = bundles = [read_ntb(path) for path in paths]  # one array each
+    if [t.name for t in original.tensors] != [t.name for t in restored.tensors]:
         raise DataError("bundles do not contain the same tensors in the same order")
     with np.errstate(invalid="ignore"):  # inf - inf; reported below
-        stats = error_stats(flat_o, flat_r)
+        stats = error_stats(original.flat(), restored.flat())
     # float32 differences cannot overflow: only a NaN or inf weight makes
     # max_abs non-finite, so finite files pay for no extra pass.
     if not math.isfinite(stats["max_abs"]):
-        for path in (args.original, args.restored):
-            for t in read_ntb(path).tensors:
+        for path, bundle in zip(paths, bundles):
+            for t in bundle.tensors:
                 bad = np.flatnonzero(~np.isfinite(t.data))
                 if bad.size:
                     raise DataError(f"{path}: tensor {t.name!r} element {bad[0]} "

@@ -7,6 +7,8 @@ as a bit-packed integer stream. Decoding inverts every step exactly.
 
 The block path (per ``_QUERY_BLOCK`` pairs) and the per-group reference path
 produce bit-identical indices; the reference path is the speed ablation's slow arm.
+Float32 weights stay float32 and each block is converted on its own; every sum
+adds in the order of numpy's whole-array one.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import ConsistencyError, DataError, FormatError
 # Slack for points that sit on the outermost ring boundary up to rounding.
 _OVER_RTOL = 1e-9
 _OVER_ATOL = 1e-12
+_SUM_LEAF = 1 << 16  # most terms _tree_sum hands to one np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -87,14 +90,42 @@ class EncodedLayer:
         return (self.element_count + 1) // 2
 
 
+def _tree_sum(count: int, leaf):
+    """np.add.reduce's float64 sum of count terms, bit for bit, with no array of
+    them all: numpy halves a run at n // 2 - (n // 2) % 8 until a part holds
+    at most 128 terms; this halves alike down to parts of at most _SUM_LEAF and
+    adds leaf(lo, hi), the np.add.reduce of terms lo..hi (Higham 1993)."""
+    def part(lo: int, hi: int):
+        if hi - lo <= _SUM_LEAF:
+            return leaf(lo, hi)
+        half = (hi - lo) // 2 - (hi - lo) // 2 % 8
+        return part(lo, lo + half) + part(lo + half, hi)
+
+    return part(0, count)
+
+
+def _mean(count: int, total):
+    """total(scale) / count, total summing count terms each times scale. A sum
+    that overflows is taken again on terms scaled by 2^-k, 2^k > count."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        summed = total(1.0)
+        if np.isfinite(summed).all():
+            return summed / count
+        scale = 2.0 ** count.bit_length()
+        return total(1.0 / scale) / count * scale
+
+
 def group_pairs(weights) -> tuple[np.ndarray, bool, float]:
     """Split a flat weight vector into consecutive pairs.
 
     Odd lengths append one synthetic coordinate: the centroid x of the pairs
     formed by the even prefix plus the lone element duplicated. Returns
     (points (G, 2), padded, pad_value); pad_value is 0.0 when nothing was added.
+    Float32 weights of even length pair up as a float32 view, all others as float64.
     """
-    flat = np.asarray(weights, dtype=np.float64).ravel()
+    flat = np.asarray(weights).ravel()
+    if flat.dtype != np.float32:
+        flat = flat.astype(np.float64, copy=False)
     finite = np.isfinite(flat)
     if not finite.all():
         idx = int(np.nonzero(~finite)[0][0])
@@ -103,11 +134,19 @@ def group_pairs(weights) -> tuple[np.ndarray, bool, float]:
         return np.zeros((0, 2), dtype=np.float64), False, 0.0
     if flat.size % 2 == 0:
         return flat.reshape(-1, 2), False, 0.0
-    prefix = flat[:-1].reshape(-1, 2)
-    lone = float(flat[-1])
-    pad_value = float(np.vstack([prefix, [[lone, lone]]])[:, 0].mean())
-    points = np.vstack([prefix, [[lone, pad_value]]])
+    xs = flat[::2]  # the prefix pairs' x, then the lone element
+    pad_value = float(_mean(xs.size, lambda scale: _tree_sum(
+        xs.size, lambda lo, hi: np.add.reduce(xs[lo:hi].astype(np.float64) * scale))))
+    points = np.empty((xs.size, 2), dtype=np.float64)
+    points.reshape(-1)[:-1] = flat
+    points[-1, 1] = pad_value
     return points, True, pad_value
+
+
+def _blocks(points: np.ndarray):
+    """(start, float64 copy) of each run of ``_QUERY_BLOCK`` pairs."""
+    for lo in range(0, len(points), _QUERY_BLOCK):
+        yield lo, points[lo : lo + _QUERY_BLOCK].astype(np.float64)
 
 
 def _distances(points: np.ndarray, cx: float, cy: float) -> np.ndarray:
@@ -119,11 +158,31 @@ def _distances(points: np.ndarray, cx: float, cy: float) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def _analyze(points: np.ndarray) -> tuple[tuple[float, float], float, np.ndarray]:
-    center = points.mean(axis=0)
-    cx, cy = float(center[0]), float(center[1])
-    dists = _distances(points, cx, cy)
-    return (cx, cy), float(dists.max()), dists
+def _analyze(points: np.ndarray) -> tuple[tuple[float, float], float]:
+    """Centroid and max_radius, a block at a time. The centroid is
+    points.mean(axis=0) bit for bit: numpy adds the rows in order, so each
+    block's first row carries the total before it. A DataError names the first
+    weight whose pair's distance to it overflows float64."""
+    def total(scale):
+        acc = np.zeros(2)
+        for lo, block in _blocks(points):
+            block *= scale
+            if lo:
+                block[0] += acc
+            acc = np.add.reduce(block, axis=0)
+        return acc
+
+    centroid = tuple(map(float, _mean(len(points), total))) if len(points) else (0.0, 0.0)
+    radius = 0.0
+    for lo, block in _blocks(points):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dists = _distances(block, *centroid)
+        bad = np.flatnonzero(~np.isfinite(dists))
+        if bad.size:
+            raise DataError(f"weight {2 * (lo + int(bad[0]))}: its pair's distance "
+                            f"to centroid {centroid} overflows")
+        radius = max(radius, float(dists.max()))
+    return centroid, radius
 
 
 def _categorize_distances(
@@ -221,26 +280,20 @@ def _plan_from_distances(dists: np.ndarray, config: CodebookConfig) -> ScalePlan
     return ScalePlan(cats, scales)
 
 
-def _encode_thetas(
-    points: np.ndarray, dists: np.ndarray, config: CodebookConfig, codebook: Codebook
-) -> np.ndarray:
-    """Ring plan, rescale and nearest lookup, per block of ``_QUERY_BLOCK`` pairs.
-
-    Elementwise given the whole layer's dists, centroid and max_radius: blocks
-    give the same floats as one pass, with temporaries a block's size.
-    """
-    theta = np.empty(len(points), dtype=np.int64)
-    for lo in range(0, len(points), _QUERY_BLOCK):
-        block = slice(lo, lo + _QUERY_BLOCK)
-        plan = _plan_from_distances(dists[block], config)
-        scaled = np.empty_like(points[block])
-        for j, c in enumerate(config.centroid):  # (p - c) * scale + c, column by column
-            col = scaled[:, j]
-            np.subtract(points[block, j], c, out=col)
+def _encode_thetas(points: np.ndarray, config: CodebookConfig, codebook: Codebook) -> np.ndarray:
+    """Distances, ring plan, rescale and nearest lookup, per block: elementwise
+    given the centroid and max_radius, so blocks give one pass's floats. Codes
+    are held in the narrowest unsigned type."""
+    theta = np.empty(len(points), dtype=np.min_scalar_type(config.theta_bound - 1))
+    for lo, block in _blocks(points):
+        plan = _plan_from_distances(_distances(block, *config.centroid), config)
+        for j, c in enumerate(config.centroid):  # (p - c) * scale + c, in place
+            col = block[:, j]
+            col -= c
             col *= plan.scales
             col += c
-        lam, _ = codebook.nearest_many(scaled)
-        theta[block] = plan.categories * config.num_points + lam
+        lam, _ = codebook.nearest_many(block)
+        theta[lo : lo + len(block)] = plan.categories * config.num_points + lam
     return theta
 
 
@@ -284,22 +337,18 @@ def encode_layer(
 ) -> EncodedLayer:
     """Compress one tensor into an EncodedLayer.
 
-    The centroid, pair distances and max_radius run over the whole layer; the
-    ring plan, rescale, lookup and packing per block of ``_QUERY_BLOCK`` pairs.
-    A pair distance that overflows float64 is a DataError. ``reference=True``
-    swaps the block arithmetic and lattice lookup for the per-group scalar path
-    with an exhaustive scan; both return byte-identical payloads.
+    Passes over blocks of ``_QUERY_BLOCK`` pairs, in float64, find the centroid,
+    then max_radius, then each block's ring plan, rescale and lookup; packing
+    is blocked too. ``reference=True`` swaps the block arithmetic and lattice
+    lookup for the per-group scalar path with an exhaustive scan; both return
+    byte-identical payloads.
     """
     shape = tuple(int(s) for s in shape)
-    flat = np.asarray(weights, dtype=np.float64).ravel()
+    flat = np.asarray(weights)
     if math.prod(shape) != flat.size:
         raise DataError(f"shape {shape} does not match {flat.size} weights")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        points, padded, pad_value = group_pairs(flat)
-        centroid, max_radius, dists = _analyze(points) if len(points) else ((0.0, 0.0), 0.0, None)
-    if not math.isfinite(max_radius):
-        g = int(np.flatnonzero(~np.isfinite(dists))[0])
-        raise DataError(f"weight {2 * g}: its pair's distance to centroid {centroid} overflows")
+    points, padded, pad_value = group_pairs(flat)
+    centroid, max_radius = _analyze(points)
     config = CodebookConfig(params.box_side, params.num_points, params.max_category,
                             params.direction_mode, centroid, max_radius)
     if len(points) == 0:
@@ -307,8 +356,8 @@ def encode_layer(
     if reference:
         theta = _reference_thetas(points, config, _points(config))
     else:
-        theta = _encode_thetas(points, dists, config, build_codebook(config))
-    del flat, points, dists
+        theta = _encode_thetas(points, config, build_codebook(config))
+    del flat, points
     bit_width = max(1, int(theta.max()).bit_length())
     payload = pack_bits(theta, bit_width)
     return EncodedLayer(name, shape, math.prod(shape), padded, config, bit_width, payload, pad_value)
@@ -331,15 +380,17 @@ def _restore(theta: np.ndarray, cfg: CodebookConfig) -> np.ndarray:
     return restored
 
 
-def decode_layer(enc: EncodedLayer) -> np.ndarray:
-    """Restore the layer's weights in original order (padding dropped), float64.
+def decode_layer(enc: EncodedLayer, dtype=np.float64) -> np.ndarray:
+    """Restore the layer's weights in original order (padding dropped) as dtype:
+    float64, or float32, equal bit for bit to the float64 result cast.
 
     A layer holding at least theta_bound pairs restores every possible code once
-    and gathers from that table: the same float operations, fewer of them.
+    and gathers from that table: the same float operations, fewer of them. A
+    smaller one restores its codes a block at a time.
     """
     groups = enc.group_count
     if groups == 0:
-        return np.zeros(0, dtype=np.float64)
+        return np.zeros(0, dtype=dtype)
     theta = unpack_bits(enc.payload, enc.bit_width, groups)
     cfg = enc.config
     bound = cfg.theta_bound
@@ -348,9 +399,11 @@ def decode_layer(enc: EncodedLayer) -> np.ndarray:
             f"layer {enc.name!r} holds theta {int(theta.max())} >= bound {bound}"
         )
     if bound <= groups:
-        restored = np.take(_restore(np.arange(bound), cfg), theta, axis=0)
+        restored = np.take(_restore(np.arange(bound), cfg).astype(dtype), theta, axis=0)
     else:
-        restored = _restore(theta, cfg)
+        restored = np.empty((groups, 2), dtype=dtype)
+        for lo in range(0, groups, _QUERY_BLOCK):
+            restored[lo : lo + _QUERY_BLOCK] = _restore(theta[lo : lo + _QUERY_BLOCK], cfg)
     return restored.reshape(-1)[: enc.element_count]
 
 

@@ -2,11 +2,15 @@
 
 All multi-byte integers are little-endian, so files written anywhere decode
 identically everywhere. Writers go through a temp file and an atomic rename;
-a failed write never leaves a partial output behind.
+a failed write never leaves a partial output behind. Files are read and written
+as streams: a path is never held whole in memory, and tensor data goes
+straight between the file and its float32 array.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 import os
 import secrets
@@ -75,6 +79,18 @@ class TensorBundle:
     def total_elements(self) -> int:
         return sum(t.data.size for t in self.tensors)
 
+    def flat(self) -> np.ndarray:
+        """Every element in order as one float32 array; uncopied when the tensors
+        are consecutive slices of one, as read_ntb makes them."""
+        data = [t.data for t in self.tensors] or [np.zeros(0, np.float32)]
+        base = data[0].base
+        starts = itertools.accumulate((d.size for d in data), initial=0)
+        if (isinstance(base, np.ndarray) and base.dtype == np.float32 and base.ndim == 1
+                and all(d.base is base and d.ctypes.data == base.ctypes.data + 4 * at
+                        for d, at in zip(data, starts))):
+            return base[: self.total_elements]
+        return np.concatenate(data)
+
 
 @dataclass
 class CompressedModel:
@@ -91,29 +107,41 @@ class CompressedModel:
 
 
 class _Reader:
-    """Cursor over a byte blob that reports the offset of any shortfall."""
+    """Cursor over a seekable binary stream that checks each read against the
+    bytes left before it allocates, and reports the offset of any shortfall."""
 
-    def __init__(self, blob: bytes, label: str):
-        self.blob = blob
-        self.pos = 0
-        self.label = label
+    def __init__(self, stream, label: str):
+        self.stream, self.label, self.pos = stream, label, 0
+        self.size = stream.seek(0, io.SEEK_END)
+        stream.seek(0)
+
+    def need(self, n: int) -> None:
+        if self.pos + n > self.size:
+            raise FormatError(f"{self.label}: truncated, need {n} bytes at offset {self.pos}")
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError(
-                f"{self.label}: truncated, need {n} bytes at offset {self.pos}"
-            )
-        out = self.blob[self.pos : self.pos + n]
+        self.need(n)
+        return self._advance(n, self.stream.read(n))
+
+    def fill(self, out: np.ndarray) -> None:
+        """Read out's bytes straight into it."""
+        view = memoryview(out).cast("B")
+        self.need(len(view))
+        self._advance(len(view), view[: self.stream.readinto(view)])
+
+    def _advance(self, n: int, got):
+        if len(got) != n:  # the file shrank since it was opened
+            raise FormatError(f"{self.label}: truncated at offset {self.pos}")
         self.pos += n
-        return out
+        return got
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
     def expect_end(self):
-        if self.pos != len(self.blob):
+        if self.pos != self.size:
             raise FormatError(
-                f"{self.label}: {len(self.blob) - self.pos} trailing bytes at offset {self.pos}"
+                f"{self.label}: {self.size - self.pos} trailing bytes at offset {self.pos}"
             )
 
     def name(self) -> str:
@@ -141,21 +169,31 @@ def _read_shape(r: _Reader) -> tuple[int, ...]:
     return tuple(r.unpack("<Q") for _ in range(rank))
 
 
-def dump_ntb(bundle: TensorBundle) -> bytes:
-    parts = [NTB_MAGIC, struct.pack("<I", len(bundle.tensors))]
+def _ntb_parts(bundle: TensorBundle):
+    yield NTB_MAGIC + struct.pack("<I", len(bundle.tensors))
     for t in bundle.tensors:
-        parts.append(_encode_name(t.name))
-        parts.append(_encode_shape(t.shape))
-        parts.append(struct.pack("<B", DTYPE_F32))
-        parts.append(t.data.astype("<f4", copy=False).tobytes())
-    return b"".join(parts)
+        yield _encode_name(t.name) + _encode_shape(t.shape) + struct.pack("<B", DTYPE_F32)
+        yield memoryview(t.data.astype("<f4", copy=False))
+
+
+def dump_ntb(bundle: TensorBundle) -> bytes:
+    return b"".join(_ntb_parts(bundle))
 
 
 def load_ntb(blob: bytes) -> TensorBundle:
-    r = _Reader(blob, "NTB")
+    return _parse_ntb(io.BytesIO(blob))
+
+
+def _parse_ntb(stream) -> TensorBundle:
+    """The tensors are consecutive slices of one float32 array (TensorBundle.flat)."""
+    r = _Reader(stream, "NTB")
     if r.take(4) != NTB_MAGIC:
         raise FormatError("NTB: bad magic at offset 0")
     count = r.unpack("<I")
+    # Each tensor is read into the next slice of one float32 buffer, which the
+    # bytes left bound; a declared size is checked against them before its read.
+    buf = np.empty((r.size - r.pos) // 4, dtype="<f4")
+    used = 0
     tensors = []
     for _ in range(count):
         name = r.name()
@@ -164,8 +202,10 @@ def load_ntb(blob: bytes) -> TensorBundle:
         if dtype != DTYPE_F32:
             raise FormatError(f"NTB: unknown dtype tag {dtype} at offset {r.pos - 1}")
         n = math.prod(shape)
-        raw = r.take(4 * n)
-        data = np.frombuffer(raw, dtype="<f4", count=n).astype(np.float32)
+        r.need(4 * n)
+        data = buf[used : used + n]
+        r.fill(data)
+        used += n
         try:
             tensors.append(Tensor(name, shape, data))
         except ValueError as exc:
@@ -177,25 +217,30 @@ def load_ntb(blob: bytes) -> TensorBundle:
         raise FormatError(f"NTB: {exc}") from exc
 
 
-def dump_hcmp(model: CompressedModel) -> bytes:
+def _hcmp_parts(model: CompressedModel):
     if model.version != HCMP_VERSION:
         raise ValueError(f"can only write version {HCMP_VERSION}, got {model.version}")
-    parts = [HCMP_MAGIC, struct.pack("<HI", model.version, len(model.layers))]
+    yield HCMP_MAGIC + struct.pack("<HI", model.version, len(model.layers))
     for layer in model.layers:
         cfg = layer.config
-        parts.append(_encode_name(layer.name))
-        parts.append(_encode_shape(layer.shape))
-        parts.append(_HCMP_LAYER.pack(
+        yield _encode_name(layer.name) + _encode_shape(layer.shape) + _HCMP_LAYER.pack(
             layer.element_count, int(layer.padded), cfg.box_side, cfg.num_points,
             cfg.max_category, int(cfg.direction_mode), *cfg.centroid,
             cfg.max_radius, layer.pad_value, layer.bit_width, len(layer.payload),
-        ))
-        parts.append(layer.payload)
-    return b"".join(parts)
+        )
+        yield layer.payload
+
+
+def dump_hcmp(model: CompressedModel) -> bytes:
+    return b"".join(_hcmp_parts(model))
 
 
 def load_hcmp(blob: bytes) -> CompressedModel:
-    r = _Reader(blob, "HCMP")
+    return _parse_hcmp(io.BytesIO(blob))
+
+
+def _parse_hcmp(stream) -> CompressedModel:
+    r = _Reader(stream, "HCMP")
     if r.take(4) != HCMP_MAGIC:
         raise FormatError("HCMP: bad magic at offset 0")
     version = r.unpack("<H")
@@ -232,9 +277,10 @@ def load_hcmp(blob: bytes) -> CompressedModel:
         raise FormatError(f"HCMP: {exc}") from exc
 
 
-def _write_blob(blob: bytes, dest) -> None:
+def _write_parts(parts, dest) -> None:
+    """Write the byte strings of parts to a path, or joined to a binary file object."""
     if hasattr(dest, "write"):
-        dest.write(blob)
+        dest.write(b"".join(parts))
         return
     path = os.fspath(dest)
     directory = os.path.dirname(os.path.abspath(path))
@@ -243,7 +289,8 @@ def _write_blob(blob: bytes, dest) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(blob)
+            for part in parts:
+                f.write(part)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -253,26 +300,27 @@ def _write_blob(blob: bytes, dest) -> None:
         raise
 
 
-def _read_blob(src) -> bytes:
+def _read(src, parse):
+    """parse a path as a stream, or the bytes of a file object or pipe."""
     if hasattr(src, "read"):
-        return src.read()
+        return parse(io.BytesIO(src.read()))
     with open(os.fspath(src), "rb") as f:
-        return f.read()
+        return parse(f if f.seekable() else io.BytesIO(f.read()))
 
 
 def write_ntb(bundle: TensorBundle, dest) -> None:
     """Serialize a bundle to a path or binary file object."""
-    _write_blob(dump_ntb(bundle), dest)
+    _write_parts(_ntb_parts(bundle), dest)
 
 
 def read_ntb(src) -> TensorBundle:
-    return load_ntb(_read_blob(src))
+    return _read(src, _parse_ntb)
 
 
 def write_hcmp(model: CompressedModel, dest) -> None:
     """Serialize a compressed model to a path or binary file object."""
-    _write_blob(dump_hcmp(model), dest)
+    _write_parts(_hcmp_parts(model), dest)
 
 
 def read_hcmp(src) -> CompressedModel:
-    return load_hcmp(_read_blob(src))
+    return _read(src, _parse_hcmp)

@@ -11,6 +11,7 @@ everything first and then running the forward pass, regardless of scheduling.
 
 from __future__ import annotations
 
+import itertools
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import EncodedLayer, decode_layer
-from .container import CompressedModel, Tensor, TensorBundle, _write_blob
+from .container import CompressedModel, Tensor, TensorBundle, _write_parts
 from .errors import DataError
 
 _WEIGHT_RE = re.compile(r"^layer(\d+)\.(weight|bias)$")
@@ -134,7 +135,7 @@ def bundle_to_network(bundle: TensorBundle) -> MlpNetwork:
 
 def decoded_tensor(enc: EncodedLayer) -> np.ndarray:
     """Decode one layer to float32 in its logical shape."""
-    return decode_layer(enc).astype(np.float32).reshape(enc.shape)
+    return decode_layer(enc, np.float32).reshape(enc.shape)
 
 
 def model_to_network(model: CompressedModel) -> MlpNetwork:
@@ -277,19 +278,26 @@ def save_dataset_csv(path, inputs: np.ndarray, labels: np.ndarray) -> None:
     lines = [header]
     for row, y in zip(inputs, labels):
         lines.append(",".join(format(float(v), ".9g") for v in row) + f",{int(y)}")
-    _write_blob(("\n".join(lines) + "\n").encode("utf-8"), path)
+    _write_parts([("\n".join(lines) + "\n").encode("utf-8")], path)
 
 
 def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Rows of finite features and a non-negative integer label, after a header line."""
+    numbers: list[int] = []  # file line numbers of the rows read so far
+
+    def data_rows(f):  # the non-blank lines after the header, streamed
+        for n, line in enumerate(f, start=1):
+            if n > 1 and line.strip():
+                numbers.append(n)
+                yield line
+
     with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    # File line numbers of the non-blank lines after the header.
-    numbers = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-    if not numbers:
-        raise DataError(f"{path}: no data rows")
-    table = np.loadtxt([lines[n - 1] for n in numbers], delimiter=",", ndmin=2,
-                       dtype=np.float64, comments=None)
+        rows = data_rows(f)
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: no data rows")
+        table = np.loadtxt(itertools.chain([first], rows), delimiter=",", ndmin=2,
+                           dtype=np.float64, comments=None)
     if table.shape[1] < 2:
         raise DataError("dataset CSV needs at least one feature column plus label")
     features, labels = table[:, :-1], table[:, -1]

@@ -2,9 +2,11 @@
 
 Every input made by changing, cutting and inserting bytes in a valid file must
 load or raise FormatError, and every layer of a loaded HCMP file must decode or
-raise FormatError. The process caps its address space at 2 GiB before the first
-input, so a size read from a corrupt header that slips past the loaders fails
-here as MemoryError instead of exhausting the machine.
+raise FormatError. Each mutated NTB is loaded from bytes and also written to a
+temporary file and read from its path; the two must agree. The process caps
+its address space at 2 GiB before the first input, so a size read from a
+corrupt header that slips past the loaders fails here as MemoryError instead of
+exhausting the machine.
 
 Usage: PYTHONPATH=src python tests/mutate_loaders.py [EXAMPLES]
 Exits 0 when every input passes; hypothesis prints the failing input otherwise.
@@ -12,6 +14,7 @@ Exits 0 when every input passes; hypothesis prints the failing input otherwise.
 
 import resource
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hypc.codec import decode_layer
-from hypc.container import Tensor, TensorBundle, dump_ntb, load_hcmp, load_ntb
+from hypc.container import Tensor, TensorBundle, dump_ntb, load_hcmp, load_ntb, read_ntb
 from hypc.errors import FormatError
 
 CORPUS = Path(__file__).parent / "data" / "hcmp_v1"
@@ -46,17 +49,28 @@ def mutate(blob: bytes, data) -> bytes:
     return bytes(out)
 
 
-def check(examples: int) -> None:
+def ntb_outcome(load):
+    """dump_ntb of what load() returns, or the FormatError it raises."""
+    try:
+        return dump_ntb(load())
+    except FormatError as exc:
+        return str(exc)
+
+
+def check(examples: int, scratch: Path) -> None:
+    path = scratch / "mutated.ntb"
+
     @settings(max_examples=examples, deadline=None, database=None, derandomize=True,
               suppress_health_check=list(HealthCheck))
     @given(st.sampled_from(SEEDS), st.data())
     def loads_or_raises_format_error(seed, data):
         kind, blob = seed
         blob = mutate(blob, data)
+        if kind == "ntb":
+            path.write_bytes(blob)
+            assert ntb_outcome(lambda: load_ntb(blob)) == ntb_outcome(lambda: read_ntb(path))
+            return
         try:
-            if kind == "ntb":
-                load_ntb(blob)
-                return
             model = load_hcmp(blob)
         except FormatError:
             return
@@ -71,4 +85,5 @@ def check(examples: int) -> None:
 
 if __name__ == "__main__":
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-    check(int(sys.argv[1]) if len(sys.argv) > 1 else 1000)
+    with tempfile.TemporaryDirectory() as scratch:
+        check(int(sys.argv[1]) if len(sys.argv) > 1 else 1000, Path(scratch))

@@ -85,3 +85,56 @@ def test_workload_record_totals():
     assert record["ops_attempted"] == {"parent": 50, "change": 50}
     assert not record["all_correct"]
     assert record["pairs"] is pairs
+
+
+def ten_pairs(parent: list[float], change: list[float], name="round_s"):
+    return [pair(i, {name: a}, {name: b}) for i, (a, b) in enumerate(zip(parent, change))]
+
+
+def test_claim_needs_nine_wins_and_a_gap_beyond_the_parent_iqr():
+    parent = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]
+    # Nine wins and a median gap of 1.0 against an IQR of 0.45: a claim.
+    m = benchpair.summarize(ten_pairs(parent, [p - 1.0 for p in parent[:9]] + [11.0]),
+                            SPEC)["round_s"]
+    assert m["change_wins"] == 9 and m["parent_iqr"] == pytest.approx(0.45)
+    assert m["median_gap"] == pytest.approx(1.0)
+    assert m["wins_9_of_10"] and m["gap_beyond_iqr"] and m["claim_met"]
+    # Eight wins: no claim, whatever the gap.
+    m = benchpair.summarize(ten_pairs(parent, [p - 1.0 for p in parent[:8]] + [11.0, 11.0]),
+                            SPEC)["round_s"]
+    assert m["change_wins"] == 8 and not m["wins_9_of_10"] and not m["claim_met"]
+    # Ten wins by 0.1: the gap stays inside the parent's IQR.
+    m = benchpair.summarize(ten_pairs(parent, [p - 0.1 for p in parent]), SPEC)["round_s"]
+    assert m["change_wins"] == 10 and m["wins_9_of_10"]
+    assert not m["gap_beyond_iqr"] and not m["claim_met"]
+    # A loss beyond the IQR is beyond it too, but no claim.
+    m = benchpair.summarize(ten_pairs(parent, [p + 1.0 for p in parent]), SPEC)["round_s"]
+    assert m["gap_beyond_iqr"] and not m["claim_met"]
+
+
+def test_sign_interval_on_ten_ratios():
+    ratios = [0.80, 0.95, 0.70, 0.85, 0.90, 0.75, 1.05, 0.82, 0.88, 0.78]
+    interval, confidence = benchpair.sign_interval(ratios)
+    # Second smallest and second largest: 1 - 2 * (1 + 10) / 1024.
+    assert interval == [0.75, 0.95]
+    assert confidence == 1 - 22 / 1024
+
+
+def test_sign_interval_on_five_ratios_is_the_range():
+    # No interval of five reaches 95%: the widest covers 1 - 2 / 32.
+    interval, confidence = benchpair.sign_interval([1.2, 0.9, 1.1, 1.0, 0.8])
+    assert interval == [0.8, 1.2] and confidence == 0.9375
+
+
+def test_summary_carries_the_ratio_interval():
+    m = benchpair.summarize(PAIRS, SPEC)["round_s"]
+    assert m["ratio_interval"] == [0.5, pytest.approx(7 / 6)]
+    assert m["ratio_interval_confidence"] == 0.9375
+
+
+def test_wide_parent_spread_is_unresolved():
+    # round_s: parent IQR 2.0 around a median of 3.0, beyond the 0.25 bound;
+    # peak_rss_mb: IQR 2.0 around 102.0, inside it.
+    summary = benchpair.summarize(PAIRS, SPEC)
+    assert summary["round_s"]["unresolved"]
+    assert not summary["peak_rss_mb"]["unresolved"]

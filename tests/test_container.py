@@ -8,6 +8,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,80 @@ class TestNtb:
         blob[-1] = 7  # dtype tag is the last byte of an empty tensor record
         with pytest.raises(FormatError, match="dtype"):
             load_ntb(bytes(blob))
+
+
+class TestNtbStreaming:
+    def test_huge_declared_size_is_refused_before_allocating(self, tmp_path):
+        # 21 bytes: one tensor, header only, declaring 2^40 elements (4 TiB).
+        blob = (b"NTB1" + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
+                + struct.pack("<BQ", 1, 1 << 40) + b"\x00")
+        assert len(blob) == 21
+        path = tmp_path / "huge.ntb"
+        path.write_bytes(blob)
+        for load in (lambda: load_ntb(blob), lambda: read_ntb(path)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError, match="truncated, need 4398046511104 bytes"):
+                    load()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**16, peak
+
+    def test_read_peak_memory(self, tmp_path):
+        # 1.1 M weights (4.4 MB): read straight into one float32 array, with no
+        # copy of the file; measured peak 4.24 MiB for a 4.23 MiB file,
+        # against 10.7 MiB through the whole-file blob and its slices.
+        rng = np.random.default_rng(12)
+        path = tmp_path / "m.ntb"
+        write_ntb(TensorBundle([Tensor("a", (650, 1300), rng.random(845_000, np.float32)),
+                                Tensor("b", (264_707,), rng.random(264_707, np.float32))]),
+                  path)
+        tracemalloc.start()
+        try:
+            read_ntb(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size + 2**18, peak
+
+    def test_tensors_are_slices_of_one_flat_array(self, tmp_path):
+        rng = np.random.default_rng(13)
+        bundle = random_bundle(rng, max_tensors=6)
+        path = tmp_path / "m.ntb"
+        write_ntb(bundle, path)
+        back = read_ntb(path)
+        flat = back.flat()
+        want = np.concatenate([t.data for t in bundle.tensors] or [np.zeros(0, np.float32)])
+        assert flat.dtype == np.float32 and flat.tobytes() == want.tobytes()
+        assert all(np.shares_memory(t.data, flat) for t in back.tensors if t.data.size)
+        # A bundle of separate arrays is joined into a new one.
+        assert bundle.flat().tobytes() == want.tobytes()
+        assert not any(np.shares_memory(t.data, bundle.flat()) for t in bundle.tensors)
+
+    def test_stream_and_path_reads_agree(self, tmp_path):
+        bundle = TensorBundle([Tensor("w", (2, 3), np.linspace(-1, 1, 6)),
+                               Tensor("b", (2,), np.float32([0.5, -0.25]))])
+        path = tmp_path / "m.ntb"
+        write_ntb(bundle, path)
+        blob = path.read_bytes()
+        assert dump_ntb(read_ntb(path)) == dump_ntb(read_ntb(io.BytesIO(blob))) == blob
+        path.write_bytes(blob[:-1])
+        for src in (path, io.BytesIO(blob[:-1])):
+            with pytest.raises(FormatError, match="truncated, need 8 bytes"):
+                read_ntb(src)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_path_is_read_whole(self):
+        # A pipe cannot seek, so its bytes are read first, as in `--input <(...)`.
+        blob = dump_ntb(TensorBundle([Tensor("w", (3,), np.float32([1, 2, 3]))]))
+        r, w = os.pipe()
+        with os.fdopen(w, "wb") as f:
+            f.write(blob)
+        try:
+            assert dump_ntb(read_ntb(f"/dev/fd/{r}")) == blob
+        finally:
+            os.close(r)
 
 
 class TestHcmp:

@@ -144,7 +144,7 @@ class TestPipelinedForward:
         calls = []
         real = inference.decode_layer
         monkeypatch.setattr(inference, "decode_layer",
-                            lambda enc: (calls.append(enc.name), real(enc))[1])
+                            lambda enc, *a, **k: (calls.append(enc.name), real(enc, *a, **k))[1])
         pipelined_forward(model, np.zeros((2, 6), np.float32))
         assert sorted(calls) == sorted(layer.name for layer in model.layers)
 

@@ -14,14 +14,20 @@ and which side goes first alternates from pair to pair. ``--base`` equal to
 repeated. The record holds, per workload and per end-to-end metric of the
 head's ``BENCHMARK.json``, each side's quartiles, the ratio to its base, wins
 and losses, the parent's interquartile range, the median gap and the raw
-pairs; "parent" is the base side and "change" the head. Exits 1 when any run
-is incorrect or has a failed op (the record is still written).
+pairs; "parent" is the base side and "change" the head. It also applies the
+claim rule: a gain counts when the change wins at least nine pairs in ten and
+its median gap exceeds the parent's interquartile range. A sign-test interval
+on the per-pair change/parent ratio (Kalibera & Jones, "Rigorous benchmarking
+in reasonable time", ISMM 2013) goes with it, and a metric whose parent
+spread (IQR over median) exceeds its bound is marked unresolved. Exits 1 when
+any run is incorrect or has a failed op (the record is still written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -33,12 +39,30 @@ SIDES = ("parent", "change")
 RATIO_BASE = ("ratio = change median / parent median; base = parent median; quartiles by "
               "statistics.quantiles(method='inclusive'); median_gap = parent median - change "
               "median, signed so that a positive gap is an improvement; a win is a pair whose "
-              "change run is better, ties counting for neither")
+              "change run is better, ties counting for neither; wins_9_of_10 = wins >= 0.9 * "
+              "pairs; gap_beyond_iqr = |median_gap| > parent_iqr; claim_met = wins_9_of_10 and "
+              "median_gap > parent_iqr; ratio_interval = sign-test interval on the per-pair "
+              "change/parent ratios, its coverage in ratio_interval_confidence (the largest "
+              "order-statistic interval with at least 95%, or the widest one when none reaches "
+              "it); unresolved = parent_iqr / parent median > the metric's bound")
+CONFIDENCE = 0.95  # target coverage of the sign-test interval
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
+
+
+def sign_interval(ratios: list[float]) -> tuple[list[float], float]:
+    """Distribution-free interval for the median ratio: the k-th smallest and
+    k-th largest ratio, with the largest k whose coverage 1 - 2 P(B <= k - 1),
+    B ~ Binomial(n, 1/2), is at least CONFIDENCE (k = 1 if none is)."""
+    n = len(ratios)
+    coverage = [1 - 2 * sum(math.comb(n, i) for i in range(k)) / 2**n
+                for k in range(1, n // 2 + 1)]
+    k = max([1] + [k for k, c in enumerate(coverage, start=1) if c >= CONFIDENCE])
+    ordered = sorted(ratios)
+    return [ordered[k - 1], ordered[n - k]], coverage[k - 1]
 
 
 def summarize(pairs: list[dict], spec: list[dict]) -> dict[str, dict]:
@@ -55,18 +79,28 @@ def summarize(pairs: list[dict], spec: list[dict]) -> dict[str, dict]:
         qp, qc = quartiles(parent), quartiles(change)
         sign = 1 if lower else -1
         ratio = qc["median"] / qp["median"]
+        wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+        parent_iqr = qp["q3"] - qp["q1"]
+        median_gap = sign * (qp["median"] - qc["median"])
+        interval, confidence = sign_interval([b / a for a, b in zip(parent, change)])
         out[name] = {
             "parent": qp,
             "change": qc,
             "ratio": ratio,
             "base": qp["median"],
-            "change_wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
+            "change_wins": wins,
             "change_losses": sum(sign * (a - b) < 0 for a, b in zip(parent, change)),
             "pairs": len(pairs),
-            "parent_iqr": qp["q3"] - qp["q1"],
-            "median_gap": sign * (qp["median"] - qc["median"]),
+            "parent_iqr": parent_iqr,
+            "median_gap": median_gap,
             "within_bound": (ratio <= 1 + metric["bound"] if lower
                              else ratio >= 1 - metric["bound"]),
+            "wins_9_of_10": 10 * wins >= 9 * len(pairs),
+            "gap_beyond_iqr": abs(median_gap) > parent_iqr,
+            "claim_met": 10 * wins >= 9 * len(pairs) and median_gap > parent_iqr,
+            "ratio_interval": interval,
+            "ratio_interval_confidence": confidence,
+            "unresolved": parent_iqr > metric["bound"] * abs(qp["median"]),
         }
     return out
 
