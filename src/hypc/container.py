@@ -3,7 +3,7 @@
 All multi-byte integers are little-endian, so files written anywhere decode
 identically everywhere. Writers go through a temp file and an atomic rename;
 a failed write never leaves a partial output behind. Files are read and written
-as streams: a path is never held whole in memory, and tensor data goes
+as streams: a regular file is never held whole in memory, and tensor data goes
 straight between the file and its float32 array.
 """
 

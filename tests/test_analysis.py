@@ -65,13 +65,14 @@ class TestErrorStats:
         assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
 
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16,
-                                      2**16 + 1, 2 * 2**16 + 7, 1_109_707])
+                                      2**16 + 1, 2 * 2**16 + 7, 2 * 2**16 + 13, 1_109_707])
     def test_blocked_sums_match_one_array_means(self, size):
         # The differences are summed leaf by leaf along numpy's pairwise tree,
-        # so both means carry the bits of one whole-array mean.
+        # so both means carry the bits of one whole-array mean. Magnitudes
+        # spread over twelve decades make any other summation order show.
         rng = np.random.default_rng(size)
-        a = rng.random(size, dtype=np.float32) - np.float32(0.5)
-        b = a + rng.normal(scale=0.01, size=size).astype(np.float32)
+        a = (rng.standard_normal(size) * 10.0 ** rng.uniform(-6, 6, size)).astype(np.float32)
+        b = rng.random(size, dtype=np.float32)
         assert error_stats(a, b) == self.separate_temporaries(a, b)
 
     def test_blocked_sums_match_on_random_sizes_and_views(self):

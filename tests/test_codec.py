@@ -110,14 +110,15 @@ class TestAnalyze:
         return pad, (float(center[0]), float(center[1])), float(dists.max())
 
     @pytest.mark.parametrize("pairs", [1, 7, 8, 9, 127, 128, 129, 2**15 - 1, 2**15,
-                                       2**15 + 1, 2**16 + 1, 2 * 2**16 + 7, 422_500])
+                                       2**15 + 1, 2**16 + 1, 2**16 + 7, 2 * 2**16 + 7, 422_500])
     @pytest.mark.parametrize("odd", [0, 1])
     def test_blocked_centroid_matches_one_array_mean(self, pairs, odd):
         # Blocks convert float32 pairs one at a time; the running total enters
         # each block's first row and the pad is summed along numpy's pairwise
         # tree, so every float equals the one-array computation's.
         rng = np.random.default_rng(pairs + odd)
-        weights = rng.normal(0.1, 0.3, size=2 * pairs - odd).astype(np.float32)
+        size = 2 * pairs - odd  # magnitudes over twelve decades expose any other order
+        weights = (rng.normal(0.1, 0.3, size) * 10.0 ** rng.uniform(-6, 6, size)).astype(np.float32)
         points, padded, pad = group_pairs(weights)
         centroid, radius = codec._analyze(points)
         assert (pad, centroid, radius) == self.one_array(weights)
