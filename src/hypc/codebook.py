@@ -137,11 +137,11 @@ class Codebook:
     that ``np.mod`` rounded up to ``y ~ l``. Point ``lam`` sits near row
     ``lam % isqrt(U)`` at ``x_lo + lam * dx``, so rounding a query to that
     lattice finds a candidate in O(1), settled by a box in its Voronoi cell
-    (``_round``). Queries outside the box get the nine lattice points of the
-    three rows and three in-row indices around them (``_stencil``), and the
-    few that stay open go to the row sweep (``_RowSweep``, indexed on first
-    use). Built only to encode (``build_codebook``); decoding reads the points
-    alone. Safe for concurrent readers.
+    (``_round``). Other queries, in either mode, get the nine lattice points
+    of the three rows and in-row indices around them (``_stencil``); ties at
+    its edge and float-collapsed codebooks go to the row sweep (``_RowSweep``,
+    indexed on first use). Built only to encode (``build_codebook``); decoding
+    reads the points alone. Safe for concurrent readers.
     """
 
     def __init__(self, config: CodebookConfig, points: np.ndarray):
@@ -164,9 +164,7 @@ class Codebook:
         self._rows = np.mod(np.arange(root + 1) + _STEPS, root)
         self._last = (config.num_points - 1 - self._rows) // root
         self._cols = np.ascontiguousarray(points.T)  # gathers read one column each
-
-    def __len__(self) -> int:
-        return len(self.points)
+        self._x_extent = (self._cols[0].min(), self._cols[0].max())
 
     def nearest_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized nearest: (indices, distances) for an (n, 2) query array.
@@ -174,9 +172,8 @@ class Codebook:
         Equals an exhaustive argmin of ``dx*dx + dy*dy`` over the points,
         smallest index on ties. Queries run in blocks of ``_QUERY_BLOCK`` so
         the temporaries stay bounded; in each block lattice rounding settles
-        what it can, the stencil most of the rest, and the sweep what is left.
-        Queries past the lattice's x extent, where the stencil settles none
-        (most of a PAPER_EQ codebook's), go straight to the sweep.
+        what it can, the stencil most of the rest, and the sweep what is left,
+        wherever the query lies.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != 2:
@@ -185,19 +182,15 @@ class Codebook:
             raise ValueError("queries must be finite")
         idx = np.empty(len(queries), dtype=np.int64)
         dsq = np.empty(len(queries), dtype=np.float64)
-        reach = self.config.box[0] + (self.config.num_points + self._root) * self._dx
         for lo in range(0, len(queries), _QUERY_BLOCK):
             block = slice(lo, lo + _QUERY_BLOCK)
             qx, qy = queries[block, 0], queries[block, 1]
             idx[block], dsq[block], settled = self._round(qx, qy)
             rest = np.flatnonzero(~settled)
             if rest.size and self._root >= 3:
-                near = rest[qx[rest] <= reach]
-                lam, near_dsq, ok = self._stencil(qx[near], qy[near])
-                near = near[ok]
-                idx[lo + near], dsq[lo + near] = lam[ok], near_dsq[ok]
-                settled[near] = True
-                rest = np.flatnonzero(~settled)
+                lam, near_dsq, ok = self._stencil(qx[rest], qy[rest])
+                idx[lo + rest[ok]], dsq[lo + rest[ok]] = lam[ok], near_dsq[ok]
+                rest = rest[~ok]
             if rest.size:
                 idx[lo + rest], dsq[lo + rest] = self._sweeper.sweep(qx[rest], qy[rest])
         return idx, np.sqrt(dsq, out=dsq)
@@ -248,14 +241,18 @@ class Codebook:
         The rows at positions ``pos0 - 1 .. pos0 + 1`` around the rounded
         ``pos0`` (position ``root`` holds the moved row-0 points: row
         ``pos % root``) and, in each, the in-row indices ``k - 1 .. k + 1``
-        with ``k`` clipped to ``[1, last - 1]``. A point not examined is in one
-        of these rows at least the x-gap to index ``k +- 2`` away, or at
-        position ``pos0 +- 2`` or beyond, at least that y-gap away; less
-        ``err`` per point, as in ``_round``. Ties among the nine go to the
-        smallest index. Needs ``root >= 3``, so the window never holds both
-        row-0 positions; a position outside ``[0, root]`` wraps to a row the
-        y-gaps bound, an extra candidate. Arrays are (9, n): numpy is slow over
-        a short inner axis.
+        with ``k`` clipped to ``[1, last - 1]``; ties go to the smallest index.
+        A point not examined is in one of these rows, at least ``side`` (the
+        x-gap to index ``k +- 2``) away, or at position ``pos0 +- 2`` or beyond,
+        at least ``gap`` (that y-gap) away in y and, like every stored point,
+        ``e = max(qx - x_max, x_min - qx, 0)`` in x (stored extremes). The gaps
+        are less ``2*err`` (``_round``); ``e`` needs none: rounding is monotone,
+        so the scan's ``|dx|`` is at least ``e`` as computed, its dsq at least
+        ``e*e + gap*gap``. Kept when dsq is below ``side**2`` and that, times
+        ``1 - 1e-12`` (the gaps' rounding), a superset of ``min(side, gap)**2``.
+        Needs ``root >= 3``, so the window never holds both row-0 positions; a
+        position outside ``[0, root]`` wraps to a row the y-gaps bound, an
+        extra candidate. Arrays are (9, n): numpy is slow over a short axis.
         """
         root, dx, h = self._root, self._dx, self._h
         x_lo, x_hi, y_lo, y_hi = self.config.box
@@ -277,9 +274,10 @@ class Codebook:
         right = np.where(k + 2 > last, np.inf, ((k + 2) * root + row) * dx + x_lo - qx)
         below = np.where(pos0 < 2, np.inf, qy - (y_lo + (pos0 - 2) * h))
         above = np.where(pos0 + 2 > root, np.inf, y_lo + (pos0 + 2) * h - qy)
-        bound = np.minimum(np.minimum(left, right).min(axis=0), np.minimum(below, above))
-        np.maximum(bound - 2 * self._err, 0, out=bound)
-        settled = dsq < bound * bound * (1 - 1e-12)
+        side = np.maximum(np.minimum(left, right).min(axis=0) - 2 * self._err, 0)
+        gap = np.maximum(np.minimum(below, above) - 2 * self._err, 0)
+        e = np.maximum(np.maximum(qx - self._x_extent[1], self._x_extent[0] - qx), 0)
+        settled = (dsq < side * side * (1 - 1e-12)) & (dsq < (e * e + gap * gap) * (1 - 1e-12))
         return lam, dsq, settled
 
     @cached_property
@@ -290,17 +288,26 @@ class Codebook:
 
 
 class _RowSweep:
-    """Exact lookup by rows: the points sorted by (row, x, index), each
-    non-empty row with its start offset and its stored minimum and maximum y."""
+    """Exact lookup by rows: the distinct points sorted by (row, x, index), each
+    non-empty row with its start offset and its stored minimum and maximum y.
+    Equal points tie, so only the smallest index of each is kept. Copies share
+    a row and an x, so they are looked for only when two neighbours do."""
 
     def __init__(self, config: CodebookConfig, points: np.ndarray):
         root = math.isqrt(config.num_points)
         rows = np.rint((points[:, 1] - config.box[2]) / (config.box_side / root))
-        self._order = np.lexsort((np.arange(len(points)), points[:, 0], rows))
+        order = np.lexsort((points[:, 0], rows))  # a stable sort: ties keep index order
+        x, sorted_rows = points[order, 0], rows[order]
+        if ((x[1:] == x[:-1]) & (sorted_rows[1:] == sorted_rows[:-1])).any():
+            xy = points.view(np.complex128)[:, 0]
+            by_point = np.argsort(xy, kind="stable")  # by x, then y, then index
+            xy = xy[by_point]
+            first = np.ones(len(points), dtype=bool)
+            first[by_point[1:]] = xy[1:] != xy[:-1]
+            keep = first[order]
+            order, x, sorted_rows = order[keep], x[keep], sorted_rows[keep]
         # One +inf past the end keeps the binary search's probes in bounds.
-        self._x = np.append(points[self._order, 0], np.inf)
-        self._y = points[self._order, 1]
-        sorted_rows = rows[self._order]
+        self._order, self._x, self._y = order, np.append(x, np.inf), points[order, 1]
         self._starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1], True])
         self._y_min = np.minimum.reduceat(self._y, self._starts[:-1])
         self._y_max = np.maximum.reduceat(self._y, self._starts[:-1])

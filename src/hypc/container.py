@@ -69,12 +69,6 @@ class TensorBundle:
             dupe = next(n for i, n in enumerate(names) if n in names[:i])
             raise ValueError(f"duplicate tensor name {dupe!r}")
 
-    def get(self, name: str) -> Tensor:
-        for t in self.tensors:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
     @property
     def total_elements(self) -> int:
         return sum(t.data.size for t in self.tensors)
@@ -97,7 +91,6 @@ class CompressedModel:
     """Ordered, uniquely named encoded layers; decodable with no external data."""
 
     layers: list[EncodedLayer] = field(default_factory=list)
-    version: int = HCMP_VERSION
 
     def __post_init__(self):
         names = [l.name for l in self.layers]
@@ -218,9 +211,7 @@ def _parse_ntb(stream) -> TensorBundle:
 
 
 def _hcmp_parts(model: CompressedModel):
-    if model.version != HCMP_VERSION:
-        raise ValueError(f"can only write version {HCMP_VERSION}, got {model.version}")
-    yield HCMP_MAGIC + struct.pack("<HI", model.version, len(model.layers))
+    yield HCMP_MAGIC + struct.pack("<HI", HCMP_VERSION, len(model.layers))
     for layer in model.layers:
         cfg = layer.config
         yield _encode_name(layer.name) + _encode_shape(layer.shape) + _HCMP_LAYER.pack(
@@ -272,7 +263,7 @@ def _parse_hcmp(stream) -> CompressedModel:
         layers.append(layer)
     r.expect_end()
     try:
-        return CompressedModel(layers, version)
+        return CompressedModel(layers)
     except ValueError as exc:
         raise FormatError(f"HCMP: {exc}") from exc
 

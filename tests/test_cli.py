@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from hypc.cli import main
+from hypc.codebook import Codebook, DirectionMode, _RowSweep
+from hypc.codec import EncodeParams, encode_layer
 from hypc.container import (
     CompressedModel,
     TensorBundle,
@@ -21,6 +24,18 @@ from hypc.container import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="module")
+def reference_model(tmp_path_factory):
+    """gen, compress and decompress of the reference model, run once."""
+    root = tmp_path_factory.mktemp("reference")
+    ntb, hcmp, out = root / "m.ntb", root / "m.hcmp", root / "r.ntb"
+    assert main(["gen", "--layers", "1300,650,325,160,2", "--seed", "1",
+                 "--output", str(ntb)]) == 0
+    assert main(["compress", "--input", str(ntb), "--output", str(hcmp)]) == 0
+    assert main(["decompress", "--input", str(hcmp), "--output", str(out)]) == 0
+    return ntb, hcmp, out
 
 
 def run(capsys, *argv):
@@ -438,17 +453,6 @@ class TestDeterminism:
         run(capsys, "compress", "--input", str(ntb), "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.fixture(scope="class")
-    def reference_model(self, tmp_path_factory):
-        """gen, compress and decompress of the reference model, run once."""
-        root = tmp_path_factory.mktemp("reference")
-        ntb, hcmp, out = root / "m.ntb", root / "m.hcmp", root / "r.ntb"
-        assert main(["gen", "--layers", "1300,650,325,160,2", "--seed", "1",
-                     "--output", str(ntb)]) == 0
-        assert main(["compress", "--input", str(ntb), "--output", str(hcmp)]) == 0
-        assert main(["decompress", "--input", str(hcmp), "--output", str(out)]) == 0
-        return ntb, hcmp, out
-
     def test_reference_model_bytes_are_pinned(self, reference_model):
         # Every encoder and decoder change so far has kept these bytes; the
         # digests pin what the fast encode arm writes for the reference model.
@@ -457,6 +461,19 @@ class TestDeterminism:
             "d40d8a5b267dc4008a0f27d35f5e8c0cacaaca723ebfa4b2f8b76195d5e95472")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "95eecefdff9beaa0aa16327ed31a83841f8ed92552087b54e0c66ad6597e57d9")
+
+    @pytest.mark.parametrize("u, digest", [
+        (225, "f607efc5b81f08271a7fb9eac836dd4baa216234de23c950188fad5a67408e1e"),
+        (65536, "8fb119299a32a6fd3b09ce0e9f8be1ae017fb1cdc3e785fff2c39ff176a2f0b2"),
+    ])
+    def test_reference_model_paper_bytes_are_pinned(self, reference_model, tmp_path, u, digest):
+        # What --direction paper writes, pinned while most of its lookups
+        # still went to the row sweep; the stencil that now settles them must
+        # pick the same indices.
+        hcmp = tmp_path / "p.hcmp"
+        assert main(["compress", "--input", str(reference_model[0]), "--output", str(hcmp),
+                     "--direction", "paper", "--u", str(u)]) == 0
+        assert hashlib.sha256(hcmp.read_bytes()).hexdigest() == digest
 
     def test_reference_model_eval_is_pinned(self, reference_model, capsys):
         # eval's JSON, text included: its means run over all 1.1 M weights in
@@ -485,6 +502,38 @@ class TestDeterminism:
         capsys.readouterr()
         assert code == 0
         assert peak < 10 * 2**20, peak
+
+    @pytest.mark.parametrize("mode, u, m, side, share", [
+        (DirectionMode.PAPER_EQ, 225, 3, 0.1, 0.02),
+        (DirectionMode.PAPER_EQ, 4096, 3, 0.1, 0.02),
+        (DirectionMode.PAPER_EQ, 65536, 3, 0.1, 0.02),
+        # the four codec-sweep settings
+        (DirectionMode.GRID_SHEAR, 225, 3, 0.1, 0.0),
+        (DirectionMode.GRID_SHEAR, 361, 8, 0.01, 0.0),
+        (DirectionMode.GRID_SHEAR, 4096, 3, 0.1, 0.0),
+        (DirectionMode.GRID_SHEAR, 65536, 15, 0.1, 0.0),
+    ])
+    def test_reference_model_lookups_rarely_reach_the_sweep(
+            self, reference_model, monkeypatch, mode, u, m, side, share):
+        # Rounding and the stencil settle the reference model's lookups in
+        # both modes; the row sweep is the fallback for ties at a certificate's
+        # edge and float-collapsed codebooks. When PAPER_EQ queries past the
+        # lattice's narrow strip skipped the stencil, 97-99.99% reached it.
+        counts = collections.Counter()
+
+        def counting(key, method):
+            def counted(self, queries, *rest):
+                counts[key] += len(queries)
+                return method(self, queries, *rest)
+            return counted
+
+        monkeypatch.setattr(Codebook, "nearest_many", counting("lookups", Codebook.nearest_many))
+        monkeypatch.setattr(_RowSweep, "sweep", counting("swept", _RowSweep.sweep))
+        params = EncodeParams(side, u, m, mode)
+        for t in read_ntb(reference_model[0]).tensors:
+            encode_layer(t.data, t.name, t.shape, params)
+        assert counts["lookups"] == 554_854
+        assert counts["swept"] <= share * counts["lookups"], counts
 
     def test_gen_uniform_range(self, tmp_path, capsys):
         ntb = tmp_path / "m.ntb"

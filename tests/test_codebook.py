@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypc.codebook import (
@@ -66,6 +66,9 @@ def near_tie_queries(cfg, points: np.ndarray, rng, cap: int) -> np.ndarray:
 
 def config(side=0.1, u=225, m=0, mode=GRID, centroid=(0.5, 0.5), radius=0.0):
     return CodebookConfig(side, u, m, mode, centroid, radius)
+
+
+CENTROIDS = [0.0, 1e3, -1e3, 1e9, -1e9, 1e13, -1e13, 1e16, -1e16]
 
 
 class TestGeneralizedTau:
@@ -150,7 +153,7 @@ class TestBuildCodebook:
     def test_sheared_lattice_row_structure(self):
         cfg = config(u=225)
         cb = build_codebook(cfg)
-        assert len(cb) == 225
+        assert len(cb.points) == 225
         # bin y-coordinates into lattice rows; values a rounding error below the
         # box top are the wrap-around image of row 0
         rel = (cb.points[:, 1] - cfg.box[2]) / cfg.box_side
@@ -410,17 +413,25 @@ class TestNearest:
         rows = point_rows(cfg, cb.points)
         moved = cb.points[rows == math.isqrt(u)]
         step = cfg.box_side / math.isqrt(u)
+        # Past the points' x extent (a strip l / isqrt(U) wide in PAPER_EQ),
+        # up to 3 l on either side: more than two rows' y-gap away in x, only
+        # the x-distance to that extent can settle a query.
+        x_min, x_max = cb.points[:, 0].min(), cb.points[:, 0].max()
+        e = rng.uniform(2 * step, 3 * cfg.box_side, 500)
+        past = np.stack([np.where(rng.random(500) < 0.5, x_min - e, x_max + e),
+                         rng.uniform(cfg.box[2], cfg.box[3], 500)], 1)
         queries = np.vstack([
             near_tie_queries(cfg, cb.points, rng, cap=400),
             rng.uniform(-3.5, 3.5, size=(2000, 2)) * cfg.box_side + np.array(cfg.centroid),
             moved,
             moved + rng.uniform(-step, step, size=moved.shape),
+            past,
         ])
         want = exhaustive_argmin(cb.points, queries)
         idx, _ = cb.nearest_many(queries)
         assert (idx == want).all()
         lam, dsq, settled = cb._stencil(queries[:, 0], queries[:, 1])
-        assert settled.any()
+        assert settled[-len(past):].any()
         assert (lam[settled] == want[settled]).all()
         diff = cb.points[lam[settled]] - queries[settled]
         assert dsq[settled].tobytes() == (diff[:, 0] ** 2 + diff[:, 1] ** 2).tobytes()
@@ -443,6 +454,37 @@ class TestNearest:
         assert (lam[settled] == exhaustive_argmin(cb.points, queries)).all()
         diff = cb.points[lam[settled]] - queries
         assert dsq[settled].tobytes() == (diff[:, 0] ** 2 + diff[:, 1] ** 2).tobytes()
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(mode=st.sampled_from([GRID, PAPER]),
+           u=st.sampled_from([*range(1, 10), 16, 225, 361, 1000, 4096, 65536]),
+           side=st.sampled_from([1e-3, 0.1, 10.0]),
+           cx=st.sampled_from(CENTROIDS), cy=st.sampled_from(CENTROIDS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lookup_matches_exhaustive_scan(self, mode, u, side, cx, cy, seed):
+        # Queries inside the box, on its corners, and far past the PAPER_EQ
+        # strip (l / isqrt(U) wide) on either side: indices, smallest on ties,
+        # and distance bytes must equal a scan of all points, without a numpy
+        # warning, at any centroid magnitude (at 1e16 every point collapses).
+        cfg = config(side=side, u=u, mode=mode, centroid=(cx, cy))
+        cb = build_codebook(cfg)
+        rng = np.random.default_rng(seed)
+        x_lo, x_hi, y_lo, y_hi = cfg.box
+        n = 50
+        strip = x_lo + side / math.isqrt(u)
+        far = side * 10.0 ** rng.uniform(-3, 3, n)
+        queries = np.vstack([
+            np.stack([rng.uniform(x_lo, x_hi, n), rng.uniform(y_lo, y_hi, n)], 1),
+            [[x, y] for x in (x_lo, x_hi) for y in (y_lo, y_hi)],
+            np.stack([np.where(rng.random(n) < 0.5, x_lo - far, strip + far),
+                      rng.uniform(y_lo - side, y_hi + side, n)], 1),
+        ])
+        with np.errstate(all="raise", under="ignore"):
+            idx, dist = cb.nearest_many(queries)
+        want = exhaustive_argmin(cb.points, queries)
+        assert (idx == want).all()
+        diff = cb.points[want] - queries
+        assert dist.tobytes() == np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2).tobytes()
 
     def test_lookup_memory_is_bounded(self):
         # 554,854 queries, one per pair of the 1300-650-325-160-2 model. The

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,20 @@ class TestCategorize:
     def test_beyond_rings_rejected(self):
         with pytest.raises(ConsistencyError):
             categorize((0.5, 0.0), (0.0, 0.0), 0.4, 0.1, 2)
+
+    def test_within_slack_past_the_outermost_ring(self):
+        # Just past half + max_radius = 0.45 but within the relative slack:
+        # rounding, not data, put it there, so both paths give the last ring.
+        d = 0.45 * (1 + 5e-10)
+        assert d > 0.05 + 0.2 * 2
+        assert categorize((d, 0.0), (0.0, 0.0), 0.4, 0.1, 2) == 2
+        assert _categorize_distances(np.array([d]), 0.1, 0.4, 2).tolist() == [2]
+
+    def test_scale_plan_names_the_distance_beyond_the_rings(self):
+        cfg = CodebookConfig(0.1, 225, 2, GRID, (0.0, 0.0), 0.4)
+        points = np.array([[0.01, 0.0], [0.0, 1.25], [0.3, 0.0]])
+        with pytest.raises(ConsistencyError, match=r"distance 1\.25 exceeds outermost ring"):
+            build_scale_plan(points, cfg)
 
     def test_no_rings_requires_box_fit(self):
         assert categorize((0.04, 0.0), (0.0, 0.0), 0.0, 0.1, 0) == 0
@@ -439,6 +454,23 @@ class TestEncodeDecode:
         weights = np.array([1.7e308, -1.7e308, -1.7e308, 1.7e308])
         with pytest.raises(DataError, match=r"weight 0: .* \(0\.0, 0\.0\) overflows"):
             encode_layer(weights, "w", (4,), PARAMS)
+
+    @pytest.mark.parametrize("mode", [GRID, DirectionMode.PAPER_EQ])
+    def test_collapsed_codebook_encodes_quickly(self, mode):
+        # At 1e16 all 2^20 points round to a few floats. The row sweep keeps
+        # one copy of each (the smallest index); stepping through every tied
+        # copy took 39 s. Every pair sits on the centroid, so one query stands
+        # for all and a scan of all points gives the code.
+        weights = np.full(1000, 1e16, dtype=np.float32)
+        params = EncodeParams(num_points=1 << 20, direction_mode=mode)
+        start = time.perf_counter()
+        enc = encode_layer(weights, "w", (1000,), params)
+        assert time.perf_counter() - start < 5.0
+        points = build_codebook(enc.config).points
+        dx = points[:, 0] - enc.config.centroid[0]
+        dy = points[:, 1] - enc.config.centroid[1]
+        want = np.argmin(dx * dx + dy * dy)
+        assert unpack_bits(enc.payload, enc.bit_width, 500).tolist() == [want] * 500
 
     @pytest.mark.parametrize("block", [32, 96])
     def test_block_size_leaves_bytes_unchanged(self, monkeypatch, block):

@@ -81,11 +81,24 @@ class TestNtb:
         bundle = TensorBundle([Tensor("w", (3,), np.arange(3, dtype=np.float32))])
         path = tmp_path / "x.ntb"
         write_ntb(bundle, path)
-        assert read_ntb(path).get("w").data.tolist() == [0.0, 1.0, 2.0]
+        assert read_ntb(path).tensors[0].data.tolist() == [0.0, 1.0, 2.0]
         buf = io.BytesIO()
         write_ntb(bundle, buf)
         assert buf.getvalue() == path.read_bytes()
         assert not list(tmp_path.glob("*.part"))
+
+    def test_failed_replace_leaves_no_part_file(self, tmp_path):
+        # The destination is a directory, so the final os.replace fails after
+        # the bytes are written: the temporary file goes, the directory stays.
+        dest = tmp_path / "m.ntb"
+        dest.mkdir()
+        (dest / "kept").write_bytes(b"x")
+        bundle = TensorBundle([Tensor("w", (3,), np.arange(3, dtype=np.float32))])
+        with pytest.raises(OSError):
+            write_ntb(bundle, dest)
+        assert not list(tmp_path.glob(".hypc-*.part"))
+        assert [p.name for p in dest.iterdir()] == ["kept"]
+        assert (dest / "kept").read_bytes() == b"x"
 
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="offset 0"):
@@ -313,7 +326,7 @@ class TestHcmp:
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
 def test_written_files_follow_umask(tmp_path, umask, mode):
     bundle = TensorBundle([Tensor("w", (4,), np.arange(4, dtype=np.float32))])
-    model = CompressedModel([encode_layer(bundle.get("w").data, "w", (4,))])
+    model = CompressedModel([encode_layer(bundle.tensors[0].data, "w", (4,))])
     previous = os.umask(umask)
     try:
         write_ntb(bundle, tmp_path / "m.ntb")
