@@ -414,8 +414,8 @@ class TestNearest:
         moved = cb.points[rows == math.isqrt(u)]
         step = cfg.box_side / math.isqrt(u)
         # Past the points' x extent (a strip l / isqrt(U) wide in PAPER_EQ),
-        # up to 3 l on either side: more than two rows' y-gap away in x, only
-        # the x-distance to that extent can settle a query.
+        # two row spacings to 3 l on either side, where only the x-distance
+        # to that extent can settle a query.
         x_min, x_max = cb.points[:, 0].min(), cb.points[:, 0].max()
         e = rng.uniform(2 * step, 3 * cfg.box_side, 500)
         past = np.stack([np.where(rng.random(500) < 0.5, x_min - e, x_max + e),
