@@ -9,11 +9,16 @@ vertical sliver, so most of the box is far from any point.
 
 import numpy as np
 
-from hypc import CodebookConfig, DirectionMode, build_codebook, direction_vector
+from hypc import (
+    CodebookConfig,
+    DirectionMode,
+    build_codebook,
+    direction_vector,
+    ring_error_bounds,
+)
 
 SIDE = 0.1
 POINTS = 225
-ROOT = 15
 
 
 def describe(mode: DirectionMode) -> None:
@@ -28,6 +33,7 @@ def describe(mode: DirectionMode) -> None:
     print(f"  per-step increments      a = ({step[0]:.3e}, {step[1]:.3e})")
     print(f"  x-coordinate spread      {x_spread:.4f}  (box side {SIDE})")
     print(f"  worst distance to a code {dist.max():.6f}")
+    print(f"  stated bound (ring 0)    {ring_error_bounds(cfg)[0]:.6f}")
     print(f"  mean distance to a code  {dist.mean():.6f}")
 
 
@@ -35,7 +41,7 @@ print(f"{POINTS} points in a side-{SIDE} box centered at (0.5, 0.5)")
 describe(DirectionMode.GRID_SHEAR)
 describe(DirectionMode.PAPER_EQ)
 
-print(f"\nsheared-lattice bound for the worst distance: sqrt(2) * {SIDE} / {ROOT}"
-      f" = {np.sqrt(2) * SIDE / ROOT:.6f}")
-print("grid-shear stays under that bound; the diagonal construction cannot,")
-print("because all of its x-coordinates fit inside one lattice column.")
+print("\nEach mode's bound is the covering radius of its codebook over the box:")
+print("grid-shear's sheared lattice reaches every point of the box within one")
+print("cell diagonal; the diagonal construction's points all fit in one lattice")
+print("column, so its bound is nearly the box side.")

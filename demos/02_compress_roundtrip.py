@@ -3,10 +3,8 @@
 Walks the full path: random weights -> NTB bytes -> per-layer encoding ->
 HCMP bytes -> decode -> error statistics, and compares the measured errors
 with the per-ring guarantee (covering radius divided by the ring's shrink
-factor).
+factor), each pair's ring read from its stored code as the decoder reads it.
 """
-
-import math
 
 import numpy as np
 
@@ -15,11 +13,11 @@ from hypc import (
     EncodeParams,
     Tensor,
     TensorBundle,
-    build_scale_plan,
     decode_layer,
     encode_layer,
     error_stats,
-    group_pairs,
+    ring_error_bounds,
+    unpack_bits,
 )
 from hypc.container import dump_hcmp, dump_ntb, load_hcmp
 
@@ -43,14 +41,12 @@ hcmp_bytes = len(dump_hcmp(model))
 print(f"{bundle.total_elements} weights: {ntb_bytes} NTB bytes -> "
       f"{hcmp_bytes} HCMP bytes ({ntb_bytes / hcmp_bytes:.2f}x)")
 
-radius = math.sqrt(2) * params.box_side / math.isqrt(params.num_points)
 print(f"\n{'layer':<14} {'bits':>4} {'max_abs':>10} {'bound':>10} {'rmse':>10}")
 for tensor, layer in zip(bundle.tensors, model.layers):
     restored = decode_layer(layer)
     stats = error_stats(tensor.data, restored)
-    points, _, _ = group_pairs(tensor.data.astype(np.float64))
-    plan = build_scale_plan(points, layer.config)
-    bound = radius / plan.scales.min()
+    theta = unpack_bits(layer.payload, layer.bit_width, layer.group_count)
+    bound = ring_error_bounds(layer.config)[theta // layer.config.num_points].max()
     print(f"{layer.name:<14} {layer.bit_width:>4} {stats['max_abs']:>10.5f} "
           f"{bound:>10.5f} {stats['rmse']:>10.5f}")
 

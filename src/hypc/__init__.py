@@ -20,13 +20,12 @@ from .codebook import (
 from .codec import (
     EncodedLayer,
     EncodeParams,
-    ScalePlan,
-    build_scale_plan,
     categorize,
     decode_layer,
     encode_layer,
     group_pairs,
     pack_bits,
+    ring_error_bounds,
     scale_factor,
     unpack_bits,
 )

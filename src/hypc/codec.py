@@ -46,14 +46,6 @@ class EncodeParams:
 
 
 @dataclass(frozen=True)
-class ScalePlan:
-    """Per-pair ring index and the shrink factor applied before snapping."""
-
-    categories: np.ndarray  # (G,) int64 in [0, max_category]
-    scales: np.ndarray  # (G,) float64 in (0, 1]
-
-
-@dataclass(frozen=True)
 class EncodedLayer:
     """One compressed tensor: packed indices plus the geometry to invert them."""
 
@@ -162,7 +154,7 @@ def _analyze(points: np.ndarray) -> tuple[tuple[float, float], float]:
     """Centroid and max_radius, a block at a time. The centroid is
     points.mean(axis=0) bit for bit: numpy adds the rows in order, so each
     block's first row carries the total before it. A DataError names the first
-    weight whose pair's distance to it overflows float64."""
+    weight whose pair's squared distance to it overflows float64."""
     def total(scale):
         acc = np.zeros(2)
         for lo, block in _blocks(points):
@@ -179,8 +171,8 @@ def _analyze(points: np.ndarray) -> tuple[tuple[float, float], float]:
             dists = _distances(block, *centroid)
         bad = np.flatnonzero(~np.isfinite(dists))
         if bad.size:
-            raise DataError(f"weight {2 * (lo + int(bad[0]))}: its pair's distance "
-                            f"to centroid {centroid} overflows")
+            raise DataError(f"weight {2 * (lo + int(bad[0]))}: the squared distance of its "
+                            f"pair to centroid {centroid} overflows float64")
         radius = max(radius, float(dists.max()))
     return centroid, radius
 
@@ -190,18 +182,12 @@ def _categorize_distances(
 ) -> np.ndarray:
     """Smallest ring index whose boundary reaches each distance; 0 inside the box."""
     half = box_side / 2.0
-    outer_limit = (half + max_radius) * (1.0 + _OVER_RTOL) + _OVER_ATOL
-    if max_category == 0:
-        limit = half * (1.0 + _OVER_RTOL) + _OVER_ATOL
-        if dists.size and dists.max() > limit:
-            raise ConsistencyError(
-                f"distance {dists.max()} exceeds box half-side {half} with no rings"
-            )
-        return np.zeros(dists.shape, dtype=np.int64)
+    reach = max_radius if max_category else 0.0  # M = 0: one band, out to half
+    outer_limit = (half + reach) * (1.0 + _OVER_RTOL) + _OVER_ATOL
     # Ring c in [0, M + 1] (M + 1: past the last band) holds edges[c] < d <=
     # edges[c + 1]. A closed form guesses c; searchsorted takes the distances
     # it misses (rounding at an edge, a zero step or one far below ulp(half)).
-    step = max_radius / max_category
+    step = reach / max(max_category, 1)
     bands = half + step * np.arange(max_category + 1, dtype=np.float64)  # half, then ring m's
     edges = np.concatenate(([-np.inf], bands, [np.inf]))
     guess = dists - half
@@ -216,9 +202,7 @@ def _categorize_distances(
     if over.any():
         worst = float(dists[over].max())
         if worst > outer_limit:
-            raise ConsistencyError(
-                f"distance {worst} exceeds outermost ring {half + max_radius}"
-            )
+            raise ConsistencyError(f"distance {worst} exceeds outermost ring {half + reach}")
         cats[over] = max_category
     return cats
 
@@ -242,14 +226,9 @@ def categorize(point, centroid, max_radius: float, box_side: float, max_category
     return max_category
 
 
-def _scale_factors(
-    categories: np.ndarray, box_side: float, max_radius: float, max_category: int
-) -> np.ndarray:
-    half = box_side / 2.0
-    if max_category == 0:
-        return np.ones(categories.shape, dtype=np.float64)
-    step = max_radius / max_category
-    return half / (half + step * categories)
+def _scale_factors(categories: np.ndarray, cfg: CodebookConfig) -> np.ndarray:
+    half = cfg.box_side / 2.0
+    return half / (half + cfg.max_radius / max(cfg.max_category, 1) * categories)
 
 
 def scale_factor(category: int, box_side: float, max_radius: float, max_category: int) -> float:
@@ -263,21 +242,40 @@ def scale_factor(category: int, box_side: float, max_radius: float, max_category
     return float(half / (half + step * category))
 
 
-def build_scale_plan(points: np.ndarray, config: CodebookConfig) -> ScalePlan:
-    """Whole-array categorization and scale-factor list for a layer's pairs."""
-    cx, cy = config.centroid
-    dists = _distances(np.asarray(points, dtype=np.float64), cx, cy)
-    return _plan_from_distances(dists, config)
+def ring_error_bounds(config: CodebookConfig) -> np.ndarray:
+    """(M + 1,) float64: how far ring m's decoded pairs may lie from the pairs
+    encoded, B / s_m with B the covering radius of the config's codebook over
+    its box (Conway & Sloane, ch. 2): a rescaled pair lies in the box and its
+    code is its nearest point. Rounding adds O(ulp(max|centroid| + l) / s_m).
 
-
-def _plan_from_distances(dists: np.ndarray, config: CodebookConfig) -> ScalePlan:
-    cats = _categorize_distances(
-        dists, config.box_side, config.max_radius, config.max_category
-    )
-    scales = _scale_factors(cats, config.box_side, config.max_radius, config.max_category)
-    cats.setflags(write=False)
-    scales.setflags(write=False)
-    return ScalePlan(cats, scales)
+    In the box frame, with R = isqrt(U) and h = l/R. Grid: B = sqrt(2)*h; row
+    r >= 1 holds x = (r + jR)*l/U, R*l/U <= h apart from below h to past l - h,
+    and every query lies within h in y of such a row (R = 1: of the points).
+    Paper: B from the stored points, as rows end at different x and np.mod
+    moves some row-0 points to y ~ l (a row of their own). Row i reaches each x
+    in [0, l] within X_i = max(first x, l - last x, half its widest x gap).
+    A query between rows i and i + 1 lies within half the span of their y values
+    of one of them in y (a row's y spread is rounding), so within hypot(that,
+    max(X_i, X_i+1)) of a point; one below the first row or above the last,
+    within hypot(its X, the y distance from the box edge to its far side).
+    """
+    side, root = config.box_side, math.isqrt(config.num_points)
+    cover = math.sqrt(2) * side / root
+    if config.direction_mode is DirectionMode.PAPER_EQ:
+        points = wrapped_points(config)
+        rows = np.rint(points[:, 1] / (side / root))
+        order = np.lexsort((points[:, 0], rows))
+        x, y, rows = points[order, 0], points[order, 1], rows[order]
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        ends = np.r_[starts[1:], len(x)] - 1
+        half_gaps = np.diff(x, append=side) / 2
+        half_gaps[ends] = side - x[ends]  # from a row's last point to the box edge
+        reach = np.maximum(np.maximum.reduceat(half_gaps, starts), x[starts])
+        y_lo, y_hi = np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)
+        spans = np.r_[2 * y_hi[0], y_hi[1:] - y_lo[:-1], 2 * (side - y_lo[-1])]
+        worse = np.maximum(np.r_[reach, reach[-1]], np.r_[reach[0], reach])
+        cover = float(np.hypot(worse, spans / 2).max())
+    return cover / _scale_factors(np.arange(config.max_category + 1), config)
 
 
 def _encode_thetas(points: np.ndarray, config: CodebookConfig, codebook: Codebook) -> np.ndarray:
@@ -286,14 +284,16 @@ def _encode_thetas(points: np.ndarray, config: CodebookConfig, codebook: Codeboo
     are held in the narrowest unsigned type."""
     theta = np.empty(len(points), dtype=np.min_scalar_type(config.theta_bound - 1))
     for lo, block in _blocks(points):
-        plan = _plan_from_distances(_distances(block, *config.centroid), config)
+        cats = _categorize_distances(_distances(block, *config.centroid), config.box_side,
+                                     config.max_radius, config.max_category)
+        scales = _scale_factors(cats, config)
         for j, c in enumerate(config.centroid):  # (p - c) * scale + c, in place
             col = block[:, j]
             col -= c
-            col *= plan.scales
+            col *= scales
             col += c
         lam, _ = codebook.nearest_many(block)
-        theta[lo : lo + len(block)] = plan.categories * config.num_points + lam
+        theta[lo : lo + len(block)] = cats * config.num_points + lam
     return theta
 
 
@@ -341,7 +341,9 @@ def encode_layer(
     then max_radius, then each block's ring plan, rescale and lookup; packing
     is blocked too. ``reference=True`` swaps the block arithmetic and lattice
     lookup for the per-group scalar path with an exhaustive scan; both return
-    byte-identical payloads.
+    byte-identical payloads. Ring m's pairs decode within ring_error_bounds[m]
+    up to rounding. A pair farther than about 1.3e154 (sqrt of the float64
+    max) from the centroid raises DataError: its squared distance overflows.
     """
     shape = tuple(int(s) for s in shape)
     flat = np.asarray(weights)
@@ -366,8 +368,7 @@ def encode_layer(
 def _restore(theta: np.ndarray, cfg: CodebookConfig) -> np.ndarray:
     """The (len(theta), 2) float64 pairs that stored codes theta decode to."""
     half = cfg.box_side / 2.0
-    scales = _scale_factors(theta // cfg.num_points, cfg.box_side, cfg.max_radius,
-                            cfg.max_category)
+    scales = _scale_factors(theta // cfg.num_points, cfg)
     restored = np.take(wrapped_points(cfg), theta % cfg.num_points, axis=0)
     # In place, column by column, the float operations of build_codebook and
     # then (p - c) / scale + c.

@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
-import math
 import time
 
 import numpy as np
@@ -12,10 +11,10 @@ from hypc.analysis import validate_error_bound
 from hypc.codebook import CodebookConfig, DirectionMode, build_codebook
 from hypc.codec import (
     EncodeParams,
-    build_scale_plan,
     decode_layer,
     encode_layer,
-    group_pairs,
+    ring_error_bounds,
+    unpack_bits,
 )
 from hypc.container import (
     CompressedModel,
@@ -57,12 +56,11 @@ def million_weight_layer():
     return rng.uniform(-0.5, 0.5, size=1_000_000)
 
 
-def per_weight_bounds(weights, enc):
-    """Covering radius over the group's scale factor, expanded per weight."""
-    points, _, _ = group_pairs(weights)
-    plan = build_scale_plan(points, enc.config)
-    radius = math.sqrt(2) * enc.config.box_side / math.isqrt(enc.config.num_points)
-    return np.repeat(radius / plan.scales, 2)[: len(weights)]
+def per_weight_bounds(enc):
+    """Each pair's ring bound (covering radius over the ring's shrink factor),
+    the ring read from its stored code, expanded per weight."""
+    rings = unpack_bits(enc.payload, enc.bit_width, enc.group_count) // enc.config.num_points
+    return np.repeat(ring_error_bounds(enc.config)[rings], 2)[: enc.element_count]
 
 
 def test_c01_roundtrip_error_bound():
@@ -70,7 +68,7 @@ def test_c01_roundtrip_error_bound():
     weights = million_weight_layer()
     enc = encode_layer(weights, "big", (weights.size,), MAIN_PARAMS)
     restored = decode_layer(enc)
-    bounds = per_weight_bounds(weights, enc)
+    bounds = per_weight_bounds(enc)
     holds = bool((np.abs(weights - restored) <= bounds).all())
     elapsed = time.perf_counter() - start
     check(1, "round-trip bound on 1e6 weights", holds and elapsed < 30.0,
@@ -126,7 +124,7 @@ def test_c04_covering_radius():
     rng = np.random.default_rng(4)
     samples = rng.uniform(0.45, 0.55, size=(100_000, 2))
     _, dist = cb.nearest_many(samples)
-    limit = math.sqrt(2) * 0.1 / 15
+    limit = ring_error_bounds(cfg)[0]
     check(4, "covering radius over 1e5 box samples", float(dist.max()) <= limit,
           f"max={dist.max():.6f} <= {limit:.6f}")
 

@@ -15,6 +15,7 @@ from hypc.codebook import (
     direction_vector,
     generalized_tau,
 )
+from hypc.codec import ring_error_bounds
 
 GRID = DirectionMode.GRID_SHEAR
 PAPER = DirectionMode.PAPER_EQ
@@ -225,7 +226,7 @@ class TestNearest:
             rng = np.random.default_rng(1)
             samples = rng.uniform(-side / 2, side / 2, size=(20_000, 2))
             _, dist = cb.nearest_many(samples)
-            assert dist.max() <= math.sqrt(2) * side / math.isqrt(u)
+            assert dist.max() <= ring_error_bounds(cfg)[0]
 
     @pytest.mark.parametrize("mode", [GRID, PAPER])
     def test_sweep_matches_exhaustive_scan_small_u(self, mode):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypc.codebook import CodebookConfig, DirectionMode, build_codebook, cached_codebook
@@ -14,12 +14,12 @@ from hypc.codec import (
     EncodeParams,
     EncodedLayer,
     _categorize_distances,
-    build_scale_plan,
     categorize,
     decode_layer,
     encode_layer,
     group_pairs,
     pack_bits,
+    ring_error_bounds,
     scale_factor,
     unpack_bits,
 )
@@ -33,17 +33,79 @@ GRID = DirectionMode.GRID_SHEAR
 PARAMS = EncodeParams()  # l=0.1, 225 points, 3 rings, grid direction
 
 
-def covering_bound(params: EncodeParams) -> float:
-    return math.sqrt(2) * params.box_side / math.isqrt(params.num_points)
+def stored_rings(enc: EncodedLayer) -> np.ndarray:
+    """Each pair's ring as the decoder reads it: its stored code div U."""
+    return unpack_bits(enc.payload, enc.bit_width, enc.group_count) // enc.config.num_points
 
 
 def roundtrip_bounds(weights, params=PARAMS):
-    """Per-weight error bounds (covering radius divided by the group's scale)."""
-    points, _, _ = group_pairs(weights)
-    cfg = encode_layer(weights, "w", (len(np.ravel(weights)),), params).config
-    plan = build_scale_plan(points, cfg)
-    per_group = covering_bound(params) / plan.scales
-    return np.repeat(per_group, 2)[: len(np.ravel(weights))]
+    """Per-weight error bounds: the ring bound of its pair's stored code."""
+    enc = encode_layer(weights, "w", (len(np.ravel(weights)),), params)
+    return np.repeat(ring_error_bounds(enc.config)[stored_rings(enc)], 2)[: enc.element_count]
+
+
+def rounding_terms(cfg: CodebookConfig) -> np.ndarray:
+    """Per-ring float64 slack of a round trip on top of ring_error_bounds:
+    20 ulp(a) / s_m with a = max(|cx|, |cy|) + l, plus, when M = 0, what the
+    encoder accepts past l/2 (1e-9 relative and 1e-12 absolute).
+
+    With u = 2^-53 and E = ulp(a) > u*a, an operation whose exact result is at
+    most a in magnitude errs by at most E/2, one at most a/s_m by under E/s_m.
+    In the plane: the rescale (p - c)*s + c errs by 2.2 E (per coordinate its
+    first two roundings u*l/2 each, as |p - c|*s <= l/2, then E/2); a stored
+    point w + (c - l/2) by 1.5 E; the exact rescaled pair lies under 3.5 E past
+    the disc of radius l/2 (ring rounding); and the scan's float distances
+    pick a point at most 4u times a distance under 1.42 l, < 5.7 E, past the
+    nearest. So the chosen point is within B + 3.5 + 2*2.2 + 1.5 + 5.7 < B +
+    15.2 E of the exact rescaled pair, decoding divides that exactly by s_m,
+    and (q - c)/s + c errs by 2.5 E/s_m per coordinate, 3.6 in the plane:
+    under 19 E/s_m in all. Near float collapse (1e16 weights, l = 0.1) this
+    term dominates the bound.
+    """
+    a = max(map(abs, cfg.centroid)) + cfg.box_side
+    scales = codec._scale_factors(np.arange(cfg.max_category + 1), cfg)
+    accepted = 0.0 if cfg.max_category else (
+        codec._OVER_RTOL * cfg.box_side / 2 + codec._OVER_ATOL)
+    return 20 * math.ulp(a) / scales + accepted
+
+
+def pair_errors(weights: np.ndarray, enc: EncodedLayer) -> np.ndarray:
+    """Distance from each encoded pair to its decoded pair; a padded layer's
+    last pair compares its x alone."""
+    points, padded, _ = group_pairs(weights)
+    restored = decode_layer(enc)
+    if padded:
+        restored = np.append(restored, points[-1, 1])
+    return np.hypot(*(points - restored.reshape(-1, 2)).T)
+
+
+def box_queries(cfg: CodebookConfig, points: np.ndarray, rng) -> np.ndarray:
+    """100,000 uniform box samples, the corners, the midpoints of every gap
+    between stored y values (the box edges included) at the box's left edge,
+    middle and right edge, and for U <= 16 a 101 x 101 grid."""
+    x_lo, x_hi, y_lo, y_hi = cfg.box
+    xs = np.array([x_lo, (x_lo + x_hi) / 2, x_hi])
+    ys = np.unique(np.r_[y_lo, points[:, 1], y_hi])
+    parts = [rng.uniform((x_lo, y_lo), (x_hi, y_hi), size=(100_000, 2)),
+             np.array([[x_lo, y_lo], [x_lo, y_hi], [x_hi, y_lo], [x_hi, y_hi]]),
+             np.stack(np.meshgrid(xs, (ys[1:] + ys[:-1]) / 2), -1).reshape(-1, 2)]
+    if cfg.num_points <= 16:
+        grid = np.linspace((x_lo, y_lo), (x_hi, y_hi), 101)
+        parts.append(np.stack(np.meshgrid(grid[:, 0], grid[:, 1]), -1).reshape(-1, 2))
+    return np.vstack(parts)
+
+
+def weight_vectors():
+    """Float64 vectors of 1 to 64 weights in runs of one value: subnormals and
+    zeros, 1e16 plus small even integers, one decade from 1e-300 to 1e150 of
+    either sign, and +-1e160 (whose squared distance overflows)."""
+    decade = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.9),
+                       st.integers(-300, 150)).map(lambda t: t[0] * t[1] * 10.0 ** t[2])
+    value = st.one_of(st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True),
+                      st.integers(-8, 8).map(lambda k: 1e16 + 2 * k),
+                      decade, st.sampled_from([1e160, -1e160]))
+    runs = st.lists(st.tuples(value, st.integers(1, 8)), min_size=1, max_size=8)
+    return runs.map(lambda r: np.array([v for v, n in r for _ in range(n)]))
 
 
 class TestGroupPairs:
@@ -157,15 +219,20 @@ class TestCategorize:
         assert _categorize_distances(np.array([d]), 0.1, 0.4, 2).tolist() == [2]
 
     def test_scale_plan_names_the_distance_beyond_the_rings(self):
-        cfg = CodebookConfig(0.1, 225, 2, GRID, (0.0, 0.0), 0.4)
-        points = np.array([[0.01, 0.0], [0.0, 1.25], [0.3, 0.0]])
+        dists = codec._distances(np.array([[0.01, 0.0], [0.0, 1.25], [0.3, 0.0]]), 0.0, 0.0)
         with pytest.raises(ConsistencyError, match=r"distance 1\.25 exceeds outermost ring"):
-            build_scale_plan(points, cfg)
+            _categorize_distances(dists, 0.1, 0.4, 2)
 
     def test_no_rings_requires_box_fit(self):
+        # M = 0 is one band out to l/2, whatever max_radius says.
         assert categorize((0.04, 0.0), (0.0, 0.0), 0.0, 0.1, 0) == 0
         with pytest.raises(ConsistencyError):
             categorize((0.06, 0.0), (0.0, 0.0), 0.0, 0.1, 0)
+        for max_radius in (0.0, 0.3):
+            inside = np.array([0.0, 0.03, 0.05, 0.05 * (1 + 5e-10)])
+            assert _categorize_distances(inside, 0.1, max_radius, 0).tolist() == [0] * 4
+            with pytest.raises(ConsistencyError, match=r"distance 0\.06 exceeds outermost ring 0\.05"):
+                _categorize_distances(np.array([0.01, 0.06, 0.02]), 0.1, max_radius, 0)
 
     @pytest.mark.parametrize("max_radius", [0.0, 1e-300, 1e30])
     @pytest.mark.parametrize("m", [1, 3, 15, 65535])
@@ -329,7 +396,7 @@ class TestEncodeDecode:
         assert np.unique(theta).size == 1
         restored = decode_layer(enc)
         # every group sits at the box center; half the covering bound applies
-        assert np.abs(weights - restored).max() <= covering_bound(PARAMS) / 2
+        assert np.abs(weights - restored).max() <= ring_error_bounds(enc.config)[0] / 2
 
     @pytest.mark.parametrize("layer", [[0.5] * 1000, [0.23, -0.41] * 300])
     def test_reencoding_decoded_output_is_fixed_point(self, layer):
@@ -364,10 +431,11 @@ class TestEncodeDecode:
         rng = np.random.default_rng(5)
         weights = rng.normal(size=5000)
         points, _, _ = group_pairs(weights)
-        cfg = encode_layer(weights, "w", (5000,), PARAMS).config
-        plan = build_scale_plan(points, cfg)
+        enc = encode_layer(weights, "w", (5000,), PARAMS)
+        cfg = enc.config
+        scales = codec._scale_factors(stored_rings(enc), cfg)
         center = np.array(cfg.centroid)
-        scaled = (points - center) * plan.scales[:, None] + center
+        scaled = (points - center) * scales[:, None] + center
         dist = np.hypot(*(scaled - center).T)
         assert dist.max() <= (0.1 / 2) * (1 + 1e-12)
 
@@ -424,6 +492,15 @@ class TestEncodeDecode:
     def test_overflowing_distance_names_the_weight(self, weights, first):
         with pytest.raises(DataError, match=f"weight {first}: .* overflows"):
             encode_layer(np.array(weights), "w", (len(weights),), PARAMS)
+
+    @pytest.mark.parametrize("mode", [GRID, DirectionMode.PAPER_EQ])
+    def test_squared_distance_overflow_is_the_limit(self, mode):
+        # Pairs farther than about 1.3e154 from the centroid are refused.
+        params = EncodeParams(direction_mode=mode)
+        with pytest.raises(DataError, match=r"weight 0: the squared distance .* float64"):
+            encode_layer(np.array([1e160, 0.0, -1e160, 5e159]), "w", (4,), params)
+        enc = encode_layer(np.array([1e150, 0.0, -1e150, 5e149]), "w", (4,), params)
+        assert np.isfinite(decode_layer(enc)).all()
 
     @pytest.mark.filterwarnings("error")
     def test_near_float_max_encodes_without_warning(self):
@@ -666,3 +743,49 @@ class TestPinnedBytes:
             "0bb262c5934bee35afce3f6ae40c39738406ccf2cde8ad3ef43523c6652bf588")
         assert decoded.hexdigest() == (
             "9d4aed46091a729c2a36c5491b3758e07472d9470959bcb6af20f1b7bb1da4c2")
+
+
+class TestRingErrorBounds:
+    @pytest.mark.parametrize("u", [*range(1, 10), 16, 99, 225, 361, 1000, 4095, 4096,
+                                   65535, 65536])
+    @pytest.mark.parametrize("mode", [GRID, DirectionMode.PAPER_EQ])
+    def test_no_box_point_lies_beyond_the_bound(self, mode, u):
+        rng = np.random.default_rng(u)
+        for centroid, side in (((0.5, 0.5), 0.1), ((-3.0, 7.25), 10.0), ((0.0, 1e3), 1e-3)):
+            cfg = CodebookConfig(side, u, 3, mode, centroid, 0.37 * side)
+            bounds = ring_error_bounds(cfg)
+            if mode is GRID:
+                # Bit for bit the grid formula the acceptance criteria assert.
+                cover = 2 ** 0.5 * side / math.isqrt(u)
+                assert bounds.tolist() == [cover / scale_factor(m, side, 0.37 * side, 3)
+                                           for m in range(4)]
+            cb = build_codebook(cfg)
+            _, dist = cb.nearest_many(box_queries(cfg, cb.points, rng))
+            assert dist.max() <= bounds[0] + rounding_terms(cfg)[0]
+            assert dist.max() >= 0.7 * bounds[0]  # the bound is nearly reached
+
+    @pytest.mark.parametrize("mode", [GRID, DirectionMode.PAPER_EQ])
+    def test_roundtrip_with_rings_within_ring_bounds(self, mode):
+        weights = np.random.default_rng(8).uniform(-0.5, 0.5, size=20_000)
+        enc = encode_layer(weights, "w", (20_000,), EncodeParams(direction_mode=mode))
+        rings = stored_rings(enc)
+        assert np.unique(rings).tolist() == [0, 1, 2, 3]
+        assert (pair_errors(weights, enc) <= ring_error_bounds(enc.config)[rings]).all()
+
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(weights=weight_vectors(), mode=st.sampled_from([GRID, DirectionMode.PAPER_EQ]),
+           u=st.sampled_from([1, 2, 3, 4, 5, 9, 16, 225, 361, 4096, 65536]),
+           side=st.sampled_from([1e-3, 0.1, 10.0]), m=st.sampled_from([0, 1, 3, 15]))
+    # Near float collapse the rescale's rounding dominates: these pairs decode
+    # 4.0 to 6.3 away, against grid ring bounds of 0.80 to 1.20.
+    @example(weights=1e16 + np.array([0.0, 2, -2, 4, 6, -4, 8, 2]), mode=GRID, u=225,
+             side=0.1, m=3)
+    def test_roundtrip_within_ring_bounds_plus_rounding(self, weights, mode, u, side, m):
+        try:
+            enc = encode_layer(weights, "w", weights.shape, EncodeParams(side, u, m, mode))
+        except (DataError, ConsistencyError):
+            return
+        errors = pair_errors(weights, enc)
+        limits = (ring_error_bounds(enc.config) + rounding_terms(enc.config))[stored_rings(enc)]
+        assert np.isfinite(decode_layer(enc)).all()
+        assert (errors <= limits).all(), (errors / limits).max()

@@ -432,11 +432,13 @@ class TestSpecReader:
 
 def test_mutated_files_load_or_raise_format_error(tmp_path):
     # One process under a 2 GiB address-space cap runs 1,000 hypothesis
-    # mutations of the v1 corpus and a small NTB (see mutate_loaders.py).
+    # mutations of the v1 corpus and a small NTB (see mutate_loaders.py); a
+    # warning there, such as a numpy overflow on a corrupt field, fails it.
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
     result = subprocess.run(
-        [sys.executable, str(Path(__file__).with_name("mutate_loaders.py")), "1000"],
+        [sys.executable, "-W", "error", str(Path(__file__).with_name("mutate_loaders.py")),
+         "1000"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
     )
     assert result.returncode == 0, result.stdout + result.stderr
