@@ -57,7 +57,8 @@ def rounding_terms(cfg: CodebookConfig) -> np.ndarray:
     the disc of radius l/2 (ring rounding); and the scan's float distances
     pick a point at most 4u times a distance under 1.42 l, < 5.7 E, past the
     nearest. So the chosen point is within B + 3.5 + 2*2.2 + 1.5 + 5.7 < B +
-    15.2 E of the exact rescaled pair, decoding divides that exactly by s_m,
+    15.2 E of the exact rescaled pair (the rescale counts once to reach the
+    float pair and once to come back), decoding divides that exactly by s_m,
     and (q - c)/s + c errs by 2.5 E/s_m per coordinate, 3.6 in the plane:
     under 19 E/s_m in all. Near float collapse (1e16 weights, l = 0.1) this
     term dominates the bound.
