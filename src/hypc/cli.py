@@ -1,7 +1,7 @@
 """Command-line front end: compress, decompress, inspect, eval, gen, train-toy,
-infer, and perc subcommands. JSON on stdout by default; --pretty for
-human tables. Errors exit nonzero with one line on stderr; output files are
-written atomically."""
+infer, and perc subcommands. Each prints one JSON document on stdout;
+``inspect --pretty`` prints its per-layer table instead. Errors exit nonzero
+with one line on stderr; output files are written atomically."""
 
 from __future__ import annotations
 
@@ -41,19 +41,6 @@ from .inference import (
 from .percolation import estimate_threshold, solve_p0
 
 _DIRECTIONS = {"grid": DirectionMode.GRID_SHEAR, "paper": DirectionMode.PAPER_EQ}
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get("HYPC_SEED", "0"))
-
-
-def _emit(payload, pretty: bool, table=None) -> None:
-    if pretty and table is not None:
-        print(table)
-    else:
-        print(json.dumps(payload))
 
 
 def _format_table(headers: list[str], rows: list[list]) -> str:
@@ -129,9 +116,7 @@ def _cmd_compress(args) -> int:
         "output_bytes": out_bytes,
         "ratio": compression_ratio(in_bytes, out_bytes),
     }
-    _emit(payload, args.pretty,
-          f"{len(layers)} layers: {in_bytes} -> {out_bytes} bytes "
-          f"({payload['ratio']:.2f}x)")
+    print(json.dumps(payload))
     return 0
 
 
@@ -142,8 +127,7 @@ def _cmd_decompress(args) -> int:
         for l in model.layers
     ]
     write_ntb(TensorBundle(tensors), args.output)
-    payload = {"layers": len(tensors), "output_bytes": os.path.getsize(args.output)}
-    _emit(payload, args.pretty, f"{len(tensors)} layers -> {args.output}")
+    print(json.dumps({"layers": len(tensors), "output_bytes": os.path.getsize(args.output)}))
     return 0
 
 
@@ -161,12 +145,14 @@ def _cmd_inspect(args) -> int:
         }
         for l in model.layers
     ]
-    table = _format_table(
-        ["name", "shape", "u", "max_class", "l", "bit_width", "payload_bytes"],
-        [[r["name"], "x".join(map(str, r["shape"])) or "scalar", r["u"],
-          r["max_class"], r["l"], r["bit_width"], r["payload_bytes"]] for r in rows],
-    )
-    _emit(rows, args.pretty, table)
+    if args.pretty:
+        print(_format_table(
+            ["name", "shape", "u", "max_class", "l", "bit_width", "payload_bytes"],
+            [[r["name"], "x".join(map(str, r["shape"])) or "scalar", r["u"],
+              r["max_class"], r["l"], r["bit_width"], r["payload_bytes"]] for r in rows],
+        ))
+    else:
+        print(json.dumps(rows))
     return 0
 
 
@@ -186,8 +172,7 @@ def _cmd_eval(args) -> int:
                 if bad.size:
                     raise DataError(f"{path}: tensor {t.name!r} element {bad[0]} "
                                     f"is not finite: {t.data[bad[0]]}")
-    _emit(stats, args.pretty,
-          "\n".join(f"{k}: {v:.6e}" for k, v in stats.items()))
+    print(json.dumps(stats))
     return 0
 
 
@@ -195,8 +180,7 @@ def _cmd_gen(args) -> int:
     dims = [int(d) for d in args.layers.split(",") if d]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise DataError("--layers needs at least two positive dims, e.g. 4,32,2")
-    seed = _resolve_seed(args.seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     tensors = []
     for i in range(len(dims) - 1):
         w = rng.random((dims[i + 1], dims[i]), dtype=np.float32) - np.float32(0.5)
@@ -204,24 +188,21 @@ def _cmd_gen(args) -> int:
         tensors.append(Tensor(f"layer{i}.weight", w.shape, w.reshape(-1)))
         tensors.append(Tensor(f"layer{i}.bias", b.shape, b))
     write_ntb(TensorBundle(tensors), args.output)
-    payload = {"seed": seed, "layers": len(dims) - 1,
-               "weights": int(sum(t.data.size for t in tensors)),
-               "output_bytes": os.path.getsize(args.output)}
-    _emit(payload, args.pretty, json.dumps(payload, indent=2))
+    print(json.dumps({"seed": args.seed, "layers": len(dims) - 1,
+                      "weights": int(sum(t.data.size for t in tensors)),
+                      "output_bytes": os.path.getsize(args.output)}))
     return 0
 
 
 def _cmd_train_toy(args) -> int:
-    seed = _resolve_seed(args.seed)
-    net = train_toy(seed)
+    net = train_toy(args.seed)
     write_ntb(network_to_bundle(net), args.output)
-    ds = make_toy_dataset(seed)
+    ds = make_toy_dataset(args.seed)
     if args.dump_data:
         save_dataset_csv(args.dump_data, ds.test_x, ds.test_y)
     acc = eval_accuracy(net, ds.test_x, ds.test_y)
-    payload = {"seed": seed, "test_accuracy": acc,
-               "output_bytes": os.path.getsize(args.output)}
-    _emit(payload, args.pretty, f"seed {seed}: test accuracy {acc:.4f}")
+    print(json.dumps({"seed": args.seed, "test_accuracy": acc,
+                      "output_bytes": os.path.getsize(args.output)}))
     return 0
 
 
@@ -241,7 +222,7 @@ def _cmd_infer(args) -> int:
     else:
         raise DataError(f"{args.model}: neither an NTB nor an HCMP file")
     acc = eval_accuracy(model, x, labels)
-    _emit({"accuracy": acc}, args.pretty, f"accuracy {acc:.4f}")
+    print(json.dumps({"accuracy": acc}))
     return 0
 
 
@@ -249,19 +230,10 @@ def _cmd_perc(args) -> int:
     if args.perc_cmd == "p0":
         print(json.dumps(solve_p0()))
         return 0
-    seed = _resolve_seed(args.seed)
     est = estimate_threshold(args.r, args.height, args.width, args.trials,
-                             probes=args.probes, seed=seed)
-    payload = est.to_json_dict()
-    _emit(payload, args.pretty,
-          f"r={args.r}: p_hat={est.p_hat:.4f} "
-          f"in [{est.interval[0]:.4f}, {est.interval[1]:.4f}]")
+                             probes=args.probes, seed=args.seed)
+    print(json.dumps(est.to_json_dict()))
     return 0
-
-
-def _add_pretty(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pretty", action="store_true",
-                        help="human-readable output instead of JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,39 +253,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=sorted(_DIRECTIONS), default="grid")
     p.add_argument("--per-layer", dest="per_layer",
                    help="JSON file with default/per-layer parameter overrides")
-    _add_pretty(p)
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("decompress", help="HCMP -> NTB")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    _add_pretty(p)
     p.set_defaults(func=_cmd_decompress)
 
     p = sub.add_parser("inspect", help="per-layer table of an HCMP file")
     p.add_argument("path")
-    _add_pretty(p)
+    p.add_argument("--pretty", action="store_true",
+                   help="a human-readable table instead of JSON")
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("eval", help="error stats between two NTB files")
     p.add_argument("--original", required=True)
     p.add_argument("--restored", required=True)
-    _add_pretty(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gen", help="seeded random MLP weights -> NTB")
     p.add_argument("--layers", required=True, help="comma-separated dims, e.g. 4,32,2")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
-    _add_pretty(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("train-toy", help="train the toy classifier -> NTB")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.add_argument("--dump-data", dest="dump_data",
                    help="also write the test split as CSV")
-    _add_pretty(p)
     p.set_defaults(func=_cmd_train_toy)
 
     p = sub.add_parser("infer", help="accuracy of a model on a labeled CSV")
@@ -321,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV with x1..xd,label header")
     p.add_argument("--pipeline", action="store_true",
                    help="overlap decode and compute (HCMP only)")
-    _add_pretty(p)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("perc", help="percolation experiments")
@@ -334,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--width", type=int, required=True)
     q.add_argument("--trials", type=int, required=True)
     q.add_argument("--probes", type=int, default=12)
-    q.add_argument("--seed", type=int, default=None)
-    _add_pretty(q)
+    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=_cmd_perc)
 
     return parser

@@ -390,23 +390,9 @@ class _RowSweep:
                 walk, cand = walk[inside], cand[inside]
 
 
-def _points(config: CodebookConfig) -> np.ndarray:
-    """The (num_points, 2) trajectory points, float64 and read-only.
-
-    Points are computed once per codebook and never per query, so an encoded
-    file decodes identically on any platform.
-    """
-    direction = direction_vector(config.num_points, config.box_side, config.direction_mode)
-    lam = np.arange(config.num_points, dtype=np.float64)
-    raw = lam[:, None] * np.asarray(direction)
-    points = np.ascontiguousarray(generalized_tau(raw, config))
-    points.setflags(write=False)
-    return points
-
-
 def build_codebook(config: CodebookConfig) -> Codebook:
     """The config's points, indexed by row for encoding: the cached
-    ``wrapped_points`` plus the offset, bit for bit ``_points(config)``."""
+    ``wrapped_points`` plus the offset, bit for bit ``cached_codebook(config)``."""
     points = wrapped_points(config) + (np.array(config.centroid) - config.box_side / 2.0)
     points.setflags(write=False)
     return Codebook(config, points)
@@ -421,5 +407,15 @@ def wrapped_points(config: CodebookConfig) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def cached_codebook(config: CodebookConfig) -> np.ndarray:
-    """Memoized read-only points; encoder and decoder ask through ``wrapped_points``."""
-    return _points(config)
+    """The (num_points, 2) trajectory points, float64, read-only and memoized;
+    encoder and decoder ask through ``wrapped_points``.
+
+    Points are computed once per codebook and never per query, so an encoded
+    file decodes identically on any platform.
+    """
+    direction = direction_vector(config.num_points, config.box_side, config.direction_mode)
+    lam = np.arange(config.num_points, dtype=np.float64)
+    raw = lam[:, None] * np.asarray(direction)
+    points = np.ascontiguousarray(generalized_tau(raw, config))
+    points.setflags(write=False)
+    return points

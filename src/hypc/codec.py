@@ -23,7 +23,6 @@ from .codebook import (
     Codebook,
     CodebookConfig,
     DirectionMode,
-    _points,
     build_codebook,
     wrapped_points,
 )
@@ -31,7 +30,6 @@ from .errors import ConsistencyError, DataError, FormatError
 
 # Slack for points that sit on the outermost ring boundary up to rounding.
 _OVER_RTOL = 1e-9
-_OVER_ATOL = 1e-12
 _SUM_LEAF = 1 << 16  # most terms _tree_sum hands to one np.add.reduce
 
 
@@ -183,7 +181,7 @@ def _categorize_distances(
     """Smallest ring index whose boundary reaches each distance; 0 inside the box."""
     half = box_side / 2.0
     reach = max_radius if max_category else 0.0  # M = 0: one band, out to half
-    outer_limit = (half + reach) * (1.0 + _OVER_RTOL) + _OVER_ATOL
+    outer_limit = (half + reach) * (1.0 + _OVER_RTOL)
     # Ring c in [0, M + 1] (M + 1: past the last band) holds edges[c] < d <=
     # edges[c + 1]. A closed form guesses c; searchsorted takes the distances
     # it misses (rounding at an edge, a zero step or one far below ulp(half)).
@@ -221,7 +219,7 @@ def categorize(point, centroid, max_radius: float, box_side: float, max_category
             if d <= half + step * m:
                 return m
     outer = half + max_radius if max_category else half
-    if d > outer * (1.0 + _OVER_RTOL) + _OVER_ATOL:
+    if d > outer * (1.0 + _OVER_RTOL):
         raise ConsistencyError(f"distance {d} exceeds outermost ring {outer}")
     return max_category
 
@@ -356,7 +354,7 @@ def encode_layer(
     if len(points) == 0:
         return EncodedLayer(name, shape, 0, False, config, 1, b"", 0.0)
     if reference:
-        theta = _reference_thetas(points, config, _points(config))
+        theta = _reference_thetas(points, config, build_codebook(config).points)
     else:
         theta = _encode_thetas(points, config, build_codebook(config))
     del flat, points
@@ -388,6 +386,13 @@ def decode_layer(enc: EncodedLayer, dtype=np.float64) -> np.ndarray:
     A layer holding at least theta_bound pairs restores every possible code once
     and gathers from that table: the same float operations, fewer of them. A
     smaller one restores its codes a block at a time.
+
+    A weight that is not finite in dtype raises FormatError naming its code: a
+    file's config may shrink a ring to s_m = 0 (a division by zero) or restore
+    values beyond float32's range. The table path checks the table, O(theta_bound),
+    and looks at the weights only when some code, stored or not, is not finite;
+    the block path checks the weights. numpy's warnings on those values are
+    silenced, since they are refused.
     """
     groups = enc.group_count
     if groups == 0:
@@ -399,13 +404,22 @@ def decode_layer(enc: EncodedLayer, dtype=np.float64) -> np.ndarray:
         raise FormatError(
             f"layer {enc.name!r} holds theta {int(theta.max())} >= bound {bound}"
         )
-    if bound <= groups:
-        restored = np.take(_restore(np.arange(bound), cfg).astype(dtype), theta, axis=0)
-    else:
-        restored = np.empty((groups, 2), dtype=dtype)
-        for lo in range(0, groups, _QUERY_BLOCK):
-            restored[lo : lo + _QUERY_BLOCK] = _restore(theta[lo : lo + _QUERY_BLOCK], cfg)
-    return restored.reshape(-1)[: enc.element_count]
+    with np.errstate(all="ignore"):
+        if bound <= groups:
+            table = _restore(np.arange(bound), cfg).astype(dtype)
+            restored = np.take(table, theta, axis=0)
+            finite = bool(np.isfinite(table).all())
+        else:
+            restored = np.empty((groups, 2), dtype=dtype)
+            for lo in range(0, groups, _QUERY_BLOCK):
+                restored[lo : lo + _QUERY_BLOCK] = _restore(theta[lo : lo + _QUERY_BLOCK], cfg)
+            finite = False
+    weights = restored.reshape(-1)[: enc.element_count]
+    if not finite and not np.isfinite(weights).all():
+        at = int(np.flatnonzero(~np.isfinite(weights))[0])
+        raise FormatError(f"layer {enc.name!r}: code {int(theta[at // 2])} decodes "
+                          f"weight {at} to {weights[at]} in {np.dtype(dtype).name}")
+    return weights
 
 
 def pack_bits(values, bit_width: int) -> bytes:

@@ -4,7 +4,8 @@ All multi-byte integers are little-endian, so files written anywhere decode
 identically everywhere. Writers go through a temp file and an atomic rename;
 a failed write never leaves a partial output behind. Files are read and written
 as streams: a regular file is never held whole in memory, and tensor data goes
-straight between the file and its float32 array.
+straight between the file and its float32 array. ``write_*`` and ``read_*``
+take paths; ``dump_*`` and ``load_*`` give and take the bytes in memory.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import io
 import itertools
 import math
 import os
-import secrets
 import struct
 from dataclasses import dataclass, field
 
@@ -268,15 +268,12 @@ def _parse_hcmp(stream) -> CompressedModel:
         raise FormatError(f"HCMP: {exc}") from exc
 
 
-def _write_parts(parts, dest) -> None:
-    """Write the byte strings of parts to a path, or joined to a binary file object."""
-    if hasattr(dest, "write"):
-        dest.write(b"".join(parts))
-        return
-    path = os.fspath(dest)
+def _write_parts(parts, path) -> None:
+    """Write the byte strings of parts to a temp file, then rename it to path."""
+    path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     # Created like open(path, "wb") would, so the umask sets the final mode.
-    tmp = os.path.join(directory, f".hypc-{secrets.token_hex(8)}.part")
+    tmp = os.path.join(directory, f".hypc-{os.urandom(8).hex()}.part")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
@@ -291,27 +288,25 @@ def _write_parts(parts, dest) -> None:
         raise
 
 
-def _read(src, parse):
-    """parse a path as a stream, or the bytes of a file object or pipe."""
-    if hasattr(src, "read"):
-        return parse(io.BytesIO(src.read()))
-    with open(os.fspath(src), "rb") as f:
+def _read(path, parse):
+    """parse the file at path as a stream; a pipe's bytes are read whole first."""
+    with open(path, "rb") as f:
         return parse(f if f.seekable() else io.BytesIO(f.read()))
 
 
-def write_ntb(bundle: TensorBundle, dest) -> None:
-    """Serialize a bundle to a path or binary file object."""
-    _write_parts(_ntb_parts(bundle), dest)
+def write_ntb(bundle: TensorBundle, path) -> None:
+    """Serialize a bundle to a path; dump_ntb gives the bytes in memory."""
+    _write_parts(_ntb_parts(bundle), path)
 
 
-def read_ntb(src) -> TensorBundle:
-    return _read(src, _parse_ntb)
+def read_ntb(path) -> TensorBundle:
+    return _read(path, _parse_ntb)
 
 
-def write_hcmp(model: CompressedModel, dest) -> None:
-    """Serialize a compressed model to a path or binary file object."""
-    _write_parts(_hcmp_parts(model), dest)
+def write_hcmp(model: CompressedModel, path) -> None:
+    """Serialize a compressed model to a path; dump_hcmp gives the bytes in memory."""
+    _write_parts(_hcmp_parts(model), path)
 
 
-def read_hcmp(src) -> CompressedModel:
-    return _read(src, _parse_hcmp)
+def read_hcmp(path) -> CompressedModel:
+    return _read(path, _parse_hcmp)

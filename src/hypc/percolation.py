@@ -25,6 +25,8 @@ MAX_BONDS = 1 << 22
 MAX_TRIALS = 1 << 16
 # Most bisection probes: float64 midpoints stop narrowing after about 53.
 MAX_PROBES = 64
+# Width at which solve_p0's bisection stops.
+_P0_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -180,14 +182,14 @@ def estimate_threshold(
     )
 
 
-def solve_p0(tol: float = 1e-10) -> float:
-    """Root of 2p + p^2 - p^4 = 1 on (0, 1), by bisection to absolute tol."""
+def solve_p0() -> float:
+    """Root of 2p + p^2 - p^4 = 1 on (0, 1), by bisection to absolute _P0_TOL."""
 
     def f(p: float) -> float:
         return 2.0 * p + p * p - p ** 4 - 1.0
 
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > _P0_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) >= 0.0:
             hi = mid

@@ -1,12 +1,12 @@
 """Mutation check for the NTB and HCMP loaders, run as its own process.
 
-Every input made by changing, cutting and inserting bytes in a valid file must
-load or raise FormatError, and every layer of a loaded HCMP file must decode or
-raise FormatError. Each mutated NTB is loaded from bytes and also written to a
-temporary file and read from its path; the two must agree. The process caps
-its address space at 2 GiB before the first input, so a size read from a
-corrupt header that slips past the loaders fails here as MemoryError instead of
-exhausting the machine.
+Every input made by changing, cutting and inserting bytes in a corpus file
+must load or raise FormatError, and every layer of a loaded HCMP file must
+decode to finite weights, in float64 and in float32, or raise FormatError. Each
+mutated NTB is loaded from bytes and also written to a temporary file and read
+from its path; the two must agree. The process caps its address space at 2 GiB
+before the first input, so a size read from a corrupt header that slips past
+the loaders fails here as MemoryError instead of exhausting the machine.
 
 Usage: PYTHONPATH=src python tests/mutate_loaders.py [EXAMPLES]
 Exits 0 when every input passes; hypothesis prints the failing input otherwise.
@@ -75,10 +75,12 @@ def check(examples: int, scratch: Path) -> None:
         except FormatError:
             return
         for layer in model.layers:
-            try:
-                decode_layer(layer)
-            except FormatError:
-                pass
+            for dtype in (np.float64, np.float32):
+                try:
+                    weights = decode_layer(layer, dtype)
+                except FormatError:
+                    continue
+                assert np.isfinite(weights).all(), (layer.name, dtype)
 
     loads_or_raises_format_error()
 

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import hashlib
 import json
@@ -7,11 +8,12 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
-from hypc.cli import main
+from hypc.cli import build_parser, main
 from hypc.codebook import Codebook, DirectionMode, _RowSweep
 from hypc.codec import EncodeParams, encode_layer
 from hypc.container import (
@@ -24,6 +26,7 @@ from hypc.container import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CORPUS = Path(__file__).parent / "data" / "hcmp_v1"
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +167,7 @@ class TestPerc:
         script = textwrap.dedent("""
             import resource, sys
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-            from hypc.cli import main
+            from hypc.cli import build_parser, main
             sys.exit(main(sys.argv[1:]))
         """)
         env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
@@ -216,6 +219,22 @@ class TestErrors:
                            "--output", str(target))
         assert code == 1 and not target.exists()
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["zero_scale.hcmp", "float32_range.hcmp"])
+    def test_non_finite_decode_is_one_error_line(self, tmp_path, capsys, name):
+        # Each file loads, and its first layer decodes to inf in float32.
+        csv = tmp_path / "d.csv"
+        csv.write_text("x1,x2,label\n0.1,0.2,0\n0.3,0.4,1\n")
+        model, out = str(CORPUS / name), str(tmp_path / "r.ntb")
+        for argv in (["decompress", "--input", model, "--output", out],
+                     ["infer", "--model", model, "--data", str(csv)],
+                     ["infer", "--model", model, "--data", str(csv), "--pipeline"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, stdout, err = run(capsys, *argv)
+            assert (code, stdout) == (1, "")
+            assert err.startswith("error: layer 'layer0.weight': code ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [csv]
 
     def test_pipeline_flag_rejected_for_ntb(self, tmp_path, capsys):
         ntb = tmp_path / "m.ntb"
@@ -410,6 +429,25 @@ class TestImports:
         assert (tmp_path / "again.hcmp").read_bytes() == hcmp.read_bytes()
 
 
+    def test_cli_loads_no_secrets_or_hmac(self, tmp_path, capsys):
+        # Temp-file names come from os.urandom: secrets would also load hmac
+        # and _hashlib, about 6 ms of start-up per CLI process. (numpy.random
+        # loads them, so gen, which draws weights, does too.)
+        run(capsys, "gen", "--layers", "4,3", "--output", str(tmp_path / "m.ntb"))
+        probe = textwrap.dedent("""
+            import sys
+            import hypc.cli
+            assert not {"secrets", "hmac"} & set(sys.modules), "import"
+            assert hypc.cli.main(["compress", "--input", "m.ntb", "--output", "m.hcmp"]) == 0
+            assert hypc.cli.main(["decompress", "--input", "m.hcmp", "--output", "r.ntb"]) == 0
+            loaded = {"secrets", "hmac"} & set(sys.modules)
+            assert not loaded, loaded
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
     def test_reference_encode_loads_no_scipy(self):
         # The reference arm scans the points exhaustively.
         probe = textwrap.dedent("""
@@ -426,14 +464,15 @@ class TestImports:
 
 
 class TestSeedFallback:
-    def test_env_seed_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
+    def test_env_seed_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # --seed alone picks the seed: HYPC_SEED, read before, is not.
         monkeypatch.setenv("HYPC_SEED", "9")
         a = tmp_path / "a.ntb"
         b = tmp_path / "b.ntb"
         code, out, _ = run(capsys, "gen", "--layers", "4,4", "--output", str(a))
-        assert code == 0 and json.loads(out)["seed"] == 9
+        assert code == 0 and json.loads(out)["seed"] == 0
         monkeypatch.delenv("HYPC_SEED")
-        run(capsys, "gen", "--layers", "4,4", "--seed", "9", "--output", str(b))
+        run(capsys, "gen", "--layers", "4,4", "--seed", "0", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_defaults_to_zero_without_env(self, tmp_path, capsys, monkeypatch):
@@ -441,6 +480,34 @@ class TestSeedFallback:
         code, out, _ = run(capsys, "gen", "--layers", "4,4",
                            "--output", str(tmp_path / "c.ntb"))
         assert code == 0 and json.loads(out)["seed"] == 0
+
+
+# Every subcommand's option strings (-h aside). A new flag edits this table.
+OPTIONS = {
+    "compress": ["--direction", "--input", "--l", "--max-class", "--output", "--per-layer",
+                 "--u"],
+    "decompress": ["--input", "--output"],
+    "inspect": ["--pretty"],
+    "eval": ["--original", "--restored"],
+    "gen": ["--layers", "--output", "--seed"],
+    "train-toy": ["--dump-data", "--output", "--seed"],
+    "infer": ["--data", "--model", "--pipeline"],
+    "perc p0": [],
+    "perc estimate": ["--height", "--probes", "--r", "--seed", "--trials", "--width"],
+}
+
+
+def test_parser_options_match_the_table():
+    def leaves(parser, prefix):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield prefix, sorted(s for a in parser._actions for s in a.option_strings
+                                 if s not in ("-h", "--help"))
+        for sub in subs:
+            for name, child in sub.choices.items():
+                yield from leaves(child, f"{prefix} {name}".strip())
+
+    assert dict(leaves(build_parser(), "")) == OPTIONS
 
 
 class TestDeterminism:

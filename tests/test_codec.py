@@ -47,7 +47,7 @@ def roundtrip_bounds(weights, params=PARAMS):
 def rounding_terms(cfg: CodebookConfig) -> np.ndarray:
     """Per-ring float64 slack of a round trip on top of ring_error_bounds:
     20 ulp(a) / s_m with a = max(|cx|, |cy|) + l, plus, when M = 0, what the
-    encoder accepts past l/2 (1e-9 relative and 1e-12 absolute).
+    encoder accepts past l/2 (1e-9 relative).
 
     With u = 2^-53 and E = ulp(a) > u*a, an operation whose exact result is at
     most a in magnitude errs by at most E/2, one at most a/s_m by under E/s_m.
@@ -65,8 +65,7 @@ def rounding_terms(cfg: CodebookConfig) -> np.ndarray:
     """
     a = max(map(abs, cfg.centroid)) + cfg.box_side
     scales = codec._scale_factors(np.arange(cfg.max_category + 1), cfg)
-    accepted = 0.0 if cfg.max_category else (
-        codec._OVER_RTOL * cfg.box_side / 2 + codec._OVER_ATOL)
+    accepted = 0.0 if cfg.max_category else codec._OVER_RTOL * cfg.box_side / 2
     return 20 * math.ulp(a) / scales + accepted
 
 
@@ -234,6 +233,16 @@ class TestCategorize:
             assert _categorize_distances(inside, 0.1, max_radius, 0).tolist() == [0] * 4
             with pytest.raises(ConsistencyError, match=r"distance 0\.06 exceeds outermost ring 0\.05"):
                 _categorize_distances(np.array([0.01, 0.06, 0.02]), 0.1, max_radius, 0)
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_no_rings_slack_scales_with_the_box(self, reference):
+        # At l = 1e-14 a pair 2.5e-13 out is 50 half-sides past the box; it
+        # would decode 260 times beyond its ring bound, so both paths refuse it.
+        params = EncodeParams(box_side=1e-14, max_category=0)
+        with pytest.raises(ConsistencyError, match=r"distance 2\.5e-13 exceeds outermost ring 5e-15"):
+            encode_layer([0, 0, 5e-13, 0], "w", (4,), params, reference=reference)
+        with pytest.raises(ConsistencyError, match=r"distance 2\.5e-13"):
+            categorize((5e-13, 0.0), (2.5e-13, 0.0), 2.5e-13, 1e-14, 0)
 
     @pytest.mark.parametrize("max_radius", [0.0, 1e-300, 1e30])
     @pytest.mark.parametrize("m", [1, 3, 15, 65535])
@@ -605,6 +614,37 @@ class TestDecodeTheta:
         cfg = self.cfg(m=2, radius=0.4)  # bound = 12, the first index it rejects
         with pytest.raises(FormatError):
             self.decode_one(12, cfg)
+
+    def test_non_finite_weights_are_refused_where_stored(self):
+        # Ring 1's shrink factor underflows to 0, so its codes restore to inf
+        # or nan and ring 0's stay finite. 8 pairs (theta_bound) decode
+        # through the per-code table, 7 code by code: either way a layer that
+        # stores no ring-1 code decodes, and one that does is refused.
+        cfg = CodebookConfig(1e-300, 4, 1, GRID, (0.0, 0.0), 1e308)
+        for theta in ([0, 1, 2, 3] * 2, [0, 1, 2, 3, 3, 2, 1]):
+            n = 2 * len(theta)
+            layer = EncodedLayer("w", (n,), n, False, cfg, 3, pack_bits(theta, 3), 0.0)
+            with np.errstate(all="raise"):
+                assert np.isfinite(decode_layer(layer)).all()
+            layer = EncodedLayer("w", (n,), n, False, cfg, 3,
+                                 pack_bits(theta[:-1] + [5], 3), 0.0)
+            for dtype in (np.float64, np.float32):
+                with np.errstate(all="raise"), pytest.raises(
+                        FormatError, match=rf"layer 'w': code 5 decodes weight {n - 2} to "):
+                    decode_layer(layer, dtype)
+
+    @pytest.mark.parametrize("num_points", [1, 4])  # table path, block path
+    def test_dropped_pad_is_not_checked(self, num_points):
+        # Only the pad coordinate, y ~ 1e300, overflows float32; the layer's
+        # one weight, x = -0.5, is finite.
+        cfg = CodebookConfig(1.0, num_points, 0, GRID, (0.0, 1e300), 0.0)
+        layer = EncodedLayer("w", (1,), 1, True, cfg, 1, pack_bits([0], 1), 1e300)
+        with np.errstate(all="raise"):
+            assert decode_layer(layer, np.float32).tolist() == [-0.5]
+        layer = EncodedLayer("w", (2,), 2, False, cfg, 1, pack_bits([0], 1), 0.0)
+        assert decode_layer(layer).tolist() == [-0.5, 1e300]
+        with pytest.raises(FormatError, match=r"code 0 decodes weight 1 to inf in float32"):
+            decode_layer(layer, np.float32)
 
     @pytest.mark.parametrize("mode", list(DirectionMode))
     def test_decode_reads_the_encoder_points(self, mode):

@@ -1,6 +1,5 @@
 import ast
 import hashlib
-import io
 import json
 import math
 import os
@@ -36,6 +35,12 @@ import hcmp_v1_spec
 SRC = Path(__file__).resolve().parent.parent / "src"
 V1_CORPUS = Path(__file__).parent / "data" / "hcmp_v1"
 V1_HASHES = json.loads((V1_CORPUS / "SHA256.json").read_text())
+# Files that load but hold a code that decodes to non-finite weights, with the
+# SHA-256 of their bytes.
+V1_REFUSED = {
+    "zero_scale.hcmp": "dc570e0d8c1c2c8d02cc6bb02f68d6746713447cd980360c37419fec3d953fd5",
+    "float32_range.hcmp": "b10fc8b75f67ac67d0db7681872c71fac7a7070bde9269db3b52dbf8457f59c1",
+}
 
 
 def random_bundle(rng, max_tensors=5, max_elems=40) -> TensorBundle:
@@ -77,14 +82,14 @@ class TestNtb:
                 assert a.name == b.name and a.shape == b.shape
                 assert a.data.tobytes() == b.data.tobytes()
 
-    def test_file_and_stream_targets(self, tmp_path):
+    def test_file_bytes_equal_dump(self, tmp_path):
         bundle = TensorBundle([Tensor("w", (3,), np.arange(3, dtype=np.float32))])
-        path = tmp_path / "x.ntb"
-        write_ntb(bundle, path)
-        assert read_ntb(path).tensors[0].data.tolist() == [0.0, 1.0, 2.0]
-        buf = io.BytesIO()
-        write_ntb(bundle, buf)
-        assert buf.getvalue() == path.read_bytes()
+        model = CompressedModel([encode_layer(bundle.tensors[0].data, "w", (3,))])
+        write_ntb(bundle, tmp_path / "x.ntb")
+        write_hcmp(model, tmp_path / "x.hcmp")
+        assert read_ntb(tmp_path / "x.ntb").tensors[0].data.tolist() == [0.0, 1.0, 2.0]
+        assert (tmp_path / "x.ntb").read_bytes() == dump_ntb(bundle)
+        assert (tmp_path / "x.hcmp").read_bytes() == dump_hcmp(model)
         assert not list(tmp_path.glob("*.part"))
 
     def test_failed_replace_leaves_no_part_file(self, tmp_path):
@@ -178,17 +183,17 @@ class TestNtbStreaming:
         assert bundle.flat().tobytes() == want.tobytes()
         assert not any(np.shares_memory(t.data, bundle.flat()) for t in bundle.tensors)
 
-    def test_stream_and_path_reads_agree(self, tmp_path):
+    def test_path_and_bytes_reads_agree(self, tmp_path):
         bundle = TensorBundle([Tensor("w", (2, 3), np.linspace(-1, 1, 6)),
                                Tensor("b", (2,), np.float32([0.5, -0.25]))])
         path = tmp_path / "m.ntb"
         write_ntb(bundle, path)
         blob = path.read_bytes()
-        assert dump_ntb(read_ntb(path)) == dump_ntb(read_ntb(io.BytesIO(blob))) == blob
+        assert dump_ntb(read_ntb(path)) == dump_ntb(load_ntb(blob)) == blob
         path.write_bytes(blob[:-1])
-        for src in (path, io.BytesIO(blob[:-1])):
+        for load in (lambda: read_ntb(path), lambda: load_ntb(blob[:-1])):
             with pytest.raises(FormatError, match="truncated, need 8 bytes"):
-                read_ntb(src)
+                load()
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_path_is_read_whole(self):
@@ -351,6 +356,28 @@ class TestV1Corpus:
             for layer in model.layers
         }
         assert decoded == V1_HASHES[name]
+
+    @pytest.mark.parametrize("name, finite_f64", [("zero_scale.hcmp", False),
+                                                  ("float32_range.hcmp", True)])
+    def test_refused_files_load_but_do_not_decode(self, name, finite_f64):
+        # zero_scale: l = 1e-300, M = 65535 and max_radius = 1e308, so ring
+        # 65535's shrink factor underflows to 0 and its code divides by zero.
+        # float32_range: l = 1e300 at centroid (1e300, -1e300) decodes finite
+        # in float64, but not in float32. Both biases decode.
+        blob = (V1_CORPUS / name).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == V1_REFUSED[name]
+        model = load_hcmp(blob)
+        assert dump_hcmp(model) == blob
+        weight, bias = model.layers
+        code = weight.config.max_category * 225 + 7
+        with np.errstate(all="raise", under="ignore"):
+            for dtype in (np.float64, np.float32):
+                assert np.isfinite(decode_layer(bias, dtype)).all()
+                if dtype == np.float64 and finite_f64:
+                    assert np.isfinite(decode_layer(weight, dtype)).all()
+                    continue
+                with pytest.raises(FormatError, match=rf"layer 'layer0\.weight': code {code} "):
+                    decode_layer(weight, dtype)
 
     def test_corpus_covers_the_layer_fields(self):
         layers = [l for name in V1_HASHES for l in read_hcmp(V1_CORPUS / name).layers]
