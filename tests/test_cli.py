@@ -167,7 +167,7 @@ class TestPerc:
         script = textwrap.dedent("""
             import resource, sys
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-            from hypc.cli import build_parser, main
+            from hypc.cli import main
             sys.exit(main(sys.argv[1:]))
         """)
         env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
