@@ -9,13 +9,8 @@ vertical sliver, so most of the box is far from any point.
 
 import numpy as np
 
-from hypc import (
-    CodebookConfig,
-    DirectionMode,
-    build_codebook,
-    direction_vector,
-    ring_error_bounds,
-)
+from hypc.codebook import CodebookConfig, DirectionMode, build_codebook, direction_vector
+from hypc.codec import ring_error_bounds
 
 SIDE = 0.1
 POINTS = 225

@@ -8,18 +8,16 @@ factor), each pair's ring read from its stored code as the decoder reads it.
 
 import numpy as np
 
-from hypc import (
+from hypc.analysis import error_stats
+from hypc.codec import EncodeParams, decode_layer, encode_layer, ring_error_bounds, unpack_bits
+from hypc.container import (
     CompressedModel,
-    EncodeParams,
     Tensor,
     TensorBundle,
-    decode_layer,
-    encode_layer,
-    error_stats,
-    ring_error_bounds,
-    unpack_bits,
+    dump_hcmp,
+    dump_ntb,
+    load_hcmp,
 )
-from hypc.container import dump_hcmp, dump_ntb, load_hcmp
 
 rng = np.random.default_rng(42)
 dims = [256, 128, 64, 10]

@@ -8,10 +8,9 @@ where the overlap happens.
 
 import numpy as np
 
-from hypc import (
-    CompressedModel,
-    EncodeParams,
-    encode_layer,
+from hypc.codec import EncodeParams, encode_layer
+from hypc.container import CompressedModel
+from hypc.inference import (
     eval_accuracy,
     make_toy_dataset,
     mlp_forward,

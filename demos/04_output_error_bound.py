@@ -9,7 +9,7 @@ hold in every trial; the report also shows how loose the bound is in practice.
 
 import json
 
-from hypc import validate_error_bound
+from hypc.analysis import validate_error_bound
 
 report = validate_error_bound(sample_count=64, input_dim=128, trials=100, seed=0)
 print(json.dumps(report, indent=2))

@@ -9,7 +9,7 @@ lattice in disguise (threshold 1/2); wider kernels percolate earlier.
 
 import numpy as np
 
-from hypc import (
+from hypc.percolation import (
     LatticeSpec,
     check_g2_isomorphism,
     estimate_threshold,

@@ -161,6 +161,10 @@ def _cmd_eval(args) -> int:
     original, restored = bundles = [read_ntb(path) for path in paths]  # one array each
     if [t.name for t in original.tensors] != [t.name for t in restored.tensors]:
         raise DataError("bundles do not contain the same tensors in the same order")
+    for a, b in zip(original.tensors, restored.tensors):
+        if a.shape != b.shape:
+            raise DataError(f"tensor {a.name!r} has shape {a.shape} in {paths[0]} "
+                            f"but {b.shape} in {paths[1]}")
     with np.errstate(invalid="ignore"):  # inf - inf; reported below
         stats = error_stats(original.flat(), restored.flat())
     # float32 differences cannot overflow: only a NaN or inf weight makes

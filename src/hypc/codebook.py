@@ -284,18 +284,17 @@ class Codebook:
     def _sweeper(self) -> _RowSweep:
         """Built on the first sweep: rounding and the stencil often settle every
         query, and the index's sort is most of the cost of a build."""
-        return _RowSweep(self.config, self.points)
+        return _RowSweep(self.points, self.config.box[2], self._h)
 
 
 class _RowSweep:
-    """Exact lookup by rows: the distinct points sorted by (row, x, index), each
-    non-empty row with its start offset and its stored minimum and maximum y.
-    Equal points tie, so only the smallest index of each is kept. Copies share
-    a row and an x, so they are looked for only when two neighbours do."""
+    """Exact lookup by the rows y ~ y_lo + r*h: the distinct points sorted by
+    (r, x, index), each non-empty row with its start offset and stored minimum
+    and maximum y. Equal points tie, so only the smallest index of each is kept.
+    Copies share a row and an x, so they are looked for only when two neighbours do."""
 
-    def __init__(self, config: CodebookConfig, points: np.ndarray):
-        root = math.isqrt(config.num_points)
-        rows = np.rint((points[:, 1] - config.box[2]) / (config.box_side / root))
+    def __init__(self, points: np.ndarray, y_lo: float, h: float):
+        rows = np.rint((points[:, 1] - y_lo) / h)
         order = np.lexsort((points[:, 0], rows))  # a stable sort: ties keep index order
         x, sorted_rows = points[order, 0], rows[order]
         if ((x[1:] == x[:-1]) & (sorted_rows[1:] == sorted_rows[:-1])).any():
@@ -403,6 +402,36 @@ def wrapped_points(config: CodebookConfig) -> np.ndarray:
     depend on the centroid): one cached array per U, side and mode."""
     half = config.box_side / 2.0
     return cached_codebook(replace(config, centroid=(half, half), max_category=0, max_radius=0.0))
+
+
+def covering_radius(config: CodebookConfig) -> float:
+    """B, the codebook's covering radius over its box (Conway & Sloane, ch. 2).
+
+    In the box frame, with R = isqrt(U) and h = l/R. Grid: B = sqrt(2)*h; row
+    r >= 1 holds x = (r + jR)*l/U, R*l/U <= h apart from below h to past l - h,
+    and every query lies within h in y of such a row (R = 1: of the points).
+    Paper: B from the stored points in the sweep's rows (its dedup drops only
+    copies, so no row's x gaps or y extent change), as rows end at different x
+    and np.mod moves some row-0 points to y ~ l (a row of their own). Row i
+    reaches each x in [0, l] within X_i = max(first x, l - last x, half its
+    widest x gap). A query between rows i and i + 1 lies within half the span
+    of their y values of one of them in y (a row's y spread is rounding), so
+    within hypot(that, max(X_i, X_i+1)) of a point; one below the first row or
+    above the last, within hypot(its X, the y distance from the box edge to its
+    far side).
+    """
+    side, root = config.box_side, math.isqrt(config.num_points)
+    if config.direction_mode is DirectionMode.GRID_SHEAR:
+        return math.sqrt(2) * side / root
+    rows = _RowSweep(wrapped_points(config), 0.0, side / root)  # the box frame
+    x, first, last = rows._x[:-1], rows._starts[:-1], rows._starts[1:] - 1
+    half_gaps = np.diff(x, append=side) / 2
+    half_gaps[last] = side - x[last]  # from a row's last point to the box edge
+    reach = np.maximum(np.maximum.reduceat(half_gaps, first), x[first])
+    y_lo, y_hi = rows._y_min, rows._y_max
+    spans = np.r_[2 * y_hi[0], y_hi[1:] - y_lo[:-1], 2 * (side - y_lo[-1])]
+    worse = np.maximum(np.r_[reach, reach[-1]], np.r_[reach[0], reach])
+    return float(np.hypot(worse, spans / 2).max())
 
 
 @lru_cache(maxsize=16)

@@ -24,6 +24,7 @@ from .codebook import (
     CodebookConfig,
     DirectionMode,
     build_codebook,
+    covering_radius,
     wrapped_points,
 )
 from .errors import ConsistencyError, DataError, FormatError
@@ -241,39 +242,10 @@ def scale_factor(category: int, box_side: float, max_radius: float, max_category
 
 
 def ring_error_bounds(config: CodebookConfig) -> np.ndarray:
-    """(M + 1,) float64: how far ring m's decoded pairs may lie from the pairs
-    encoded, B / s_m with B the covering radius of the config's codebook over
-    its box (Conway & Sloane, ch. 2): a rescaled pair lies in the box and its
-    code is its nearest point. Rounding adds O(ulp(max|centroid| + l) / s_m).
-
-    In the box frame, with R = isqrt(U) and h = l/R. Grid: B = sqrt(2)*h; row
-    r >= 1 holds x = (r + jR)*l/U, R*l/U <= h apart from below h to past l - h,
-    and every query lies within h in y of such a row (R = 1: of the points).
-    Paper: B from the stored points, as rows end at different x and np.mod
-    moves some row-0 points to y ~ l (a row of their own). Row i reaches each x
-    in [0, l] within X_i = max(first x, l - last x, half its widest x gap).
-    A query between rows i and i + 1 lies within half the span of their y values
-    of one of them in y (a row's y spread is rounding), so within hypot(that,
-    max(X_i, X_i+1)) of a point; one below the first row or above the last,
-    within hypot(its X, the y distance from the box edge to its far side).
-    """
-    side, root = config.box_side, math.isqrt(config.num_points)
-    cover = math.sqrt(2) * side / root
-    if config.direction_mode is DirectionMode.PAPER_EQ:
-        points = wrapped_points(config)
-        rows = np.rint(points[:, 1] / (side / root))
-        order = np.lexsort((points[:, 0], rows))
-        x, y, rows = points[order, 0], points[order, 1], rows[order]
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        ends = np.r_[starts[1:], len(x)] - 1
-        half_gaps = np.diff(x, append=side) / 2
-        half_gaps[ends] = side - x[ends]  # from a row's last point to the box edge
-        reach = np.maximum(np.maximum.reduceat(half_gaps, starts), x[starts])
-        y_lo, y_hi = np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)
-        spans = np.r_[2 * y_hi[0], y_hi[1:] - y_lo[:-1], 2 * (side - y_lo[-1])]
-        worse = np.maximum(np.r_[reach, reach[-1]], np.r_[reach[0], reach])
-        cover = float(np.hypot(worse, spans / 2).max())
-    return cover / _scale_factors(np.arange(config.max_category + 1), config)
+    """(M + 1,) float64: ring m's pairs decode within B / s_m of the pairs
+    encoded, B = covering_radius(config): a rescaled pair lies in the box and
+    its code is its nearest point. Rounding adds O(ulp(max|c| + l) / s_m)."""
+    return covering_radius(config) / _scale_factors(np.arange(config.max_category + 1), config)
 
 
 def _encode_thetas(points: np.ndarray, config: CodebookConfig, codebook: Codebook) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Bit-exact file formats: NTB (raw float32 tensors) and HCMP (compressed model).
 
 All multi-byte integers are little-endian, so files written anywhere decode
-identically everywhere. Writers go through a temp file and an atomic rename;
+identically everywhere. Writers sync a temp file, then rename it atomically;
 a failed write never leaves a partial output behind. Files are read and written
 as streams: a regular file is never held whole in memory, and tensor data goes
 straight between the file and its float32 array. ``write_*`` and ``read_*``
@@ -269,7 +269,7 @@ def _parse_hcmp(stream) -> CompressedModel:
 
 
 def _write_parts(parts, path) -> None:
-    """Write the byte strings of parts to a temp file, then rename it to path."""
+    """Write parts to a temp file, sync it, rename it to path, sync the directory."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     # Created like open(path, "wb") would, so the umask sets the final mode.
@@ -279,6 +279,8 @@ def _write_parts(parts, path) -> None:
         with os.fdopen(fd, "wb") as f:
             for part in parts:
                 f.write(part)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -286,6 +288,11 @@ def _write_parts(parts, path) -> None:
         except OSError:
             pass
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _read(path, parse):

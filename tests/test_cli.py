@@ -18,6 +18,7 @@ from hypc.codebook import Codebook, DirectionMode, _RowSweep
 from hypc.codec import EncodeParams, encode_layer
 from hypc.container import (
     CompressedModel,
+    Tensor,
     TensorBundle,
     read_hcmp,
     read_ntb,
@@ -329,6 +330,27 @@ class TestErrors:
         assert err.startswith("error: ") and err.strip().count("\n") == 0
         assert f"bad.ntb: tensor {tensors[2].name!r} element 1 is not finite: " in err
 
+    @pytest.mark.parametrize("shapes_a, shapes_b, name", [
+        ([(4,), (2,)], [(2,), (4,)], "a"),  # same names and flattened values
+        ([(4,)], [(2, 2)], "a"),
+        ([(3,), (2, 3)], [(3,), (3, 2)], "b"),
+    ], ids=["swapped", "reshaped", "transposed"])
+    def test_eval_refuses_a_shape_mismatch(self, tmp_path, capsys, shapes_a, shapes_b, name):
+        paths = []
+        for tag, shapes in (("a", shapes_a), ("b", shapes_b)):
+            tensors, start = [], 0
+            for n, shape in zip("ab", shapes):
+                tensors.append(Tensor(n, shape, range(start, start + math.prod(shape))))
+                start += math.prod(shape)
+            paths.append(tmp_path / f"{tag}.ntb")
+            write_ntb(TensorBundle(tensors), paths[-1])
+        code, out, err = run(capsys, "eval", "--original", str(paths[0]),
+                             "--restored", str(paths[1]))
+        shape_a, shape_b = shapes_a["ab".index(name)], shapes_b["ab".index(name)]
+        assert code == 1 and out == ""
+        assert err.strip() == (f"error: tensor {name!r} has shape {shape_a} in {paths[0]} "
+                               f"but {shape_b} in {paths[1]}")
+
     def test_pipelined_infer_on_wrong_width_exits(self, tmp_path, capsys):
         # A compute error in the pipelined arm must end the command, not hang it.
         ntb = tmp_path / "m.ntb"
@@ -461,6 +483,35 @@ class TestImports:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
+
+    # Importing one module loads only what it needs: the package itself
+    # imports nothing, so every name comes from the module that defines it.
+    @pytest.mark.parametrize("module, hypc_modules", [
+        ("hypc.codec", ["hypc", "hypc.codebook", "hypc.codec", "hypc.errors"]),
+        ("hypc.percolation", ["hypc", "hypc.percolation"]),
+    ])
+    def test_module_loads_only_what_it_needs(self, module, hypc_modules):
+        probe = textwrap.dedent(f"""
+            import sys
+            import {module}
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "hypc")
+            assert loaded == {hypc_modules!r}, loaded
+            assert "concurrent.futures" not in sys.modules
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+    def test_package_binds_no_public_name(self):
+        probe = "import hypc; print(' '.join(sorted(vars(hypc))))"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        names = result.stdout.split()
+        assert "__doc__" in names
+        assert [n for n in names if not (n.startswith("__") and n.endswith("__"))] == []
 
 
 class TestSeedFallback:

@@ -105,6 +105,32 @@ class TestNtb:
         assert [p.name for p in dest.iterdir()] == ["kept"]
         assert (dest / "kept").read_bytes() == b"x"
 
+    @pytest.mark.parametrize("kind", ["ntb", "hcmp"])
+    def test_write_syncs_file_then_renames_then_syncs_directory(self, tmp_path, monkeypatch,
+                                                               kind):
+        bundle = TensorBundle([Tensor("w", (3,), np.arange(3, dtype=np.float32))])
+        model = CompressedModel([encode_layer(bundle.tensors[0].data, "w", (3,))])
+        write, blob = {"ntb": (lambda p: write_ntb(bundle, p), dump_ntb(bundle)),
+                       "hcmp": (lambda p: write_hcmp(model, p), dump_hcmp(model))}[kind]
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            events.append(("dir sync",) if stat.S_ISDIR(st.st_mode) else ("file sync", st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("rename", os.path.dirname(src) == str(tmp_path)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        write(tmp_path / f"m.{kind}")
+        # The whole file is on disk before its name is, and the name after.
+        assert events == [("file sync", len(blob)), ("rename", True), ("dir sync",)]
+        assert (tmp_path / f"m.{kind}").read_bytes() == blob
+
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="offset 0"):
             load_ntb(b"XXXX\x00\x00\x00\x00")

@@ -1,4 +1,6 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Smoke test: every script under demos/ runs to completion, with the
+warnings that pyproject.toml's filterwarnings makes errors in the tests
+raised as errors here too."""
 
 import os
 import subprocess
@@ -9,11 +11,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::UserWarning"]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=120)
+    cmd = [sys.executable, *WARNINGS_AS_ERRORS, str(script)]
+    result = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True,
+                            timeout=120)
     assert result.returncode == 0, result.stderr
