@@ -2,12 +2,14 @@
 
 A codebook is the finite set of points ``tau(lam * a)`` for ``lam = 0 .. num_points-1``,
 where ``tau`` wraps coordinates into a square box centered on the layer's centroid and
-``a`` is the per-step direction vector. Decoding only reads points by index
-(``cached_codebook``). Encoding (``build_codebook``) looks each query up in
-three stages: it rounds the query to a lattice point, kept when the query lies
-in a box inside that point's Voronoi cell; it examines the 3x3 lattice
-neighbourhood of what rounding leaves open, kept when a distance certificate
-proves a candidate the unique nearest; the rest go to a sweep over the points'
+``a`` is the per-step direction vector. The points before the shift into the
+box, and the covering radius, depend on U, l and the mode alone and are cached
+per that triple (``cached_codebook``, ``covering_radius``). Decoding only reads
+points by index. Encoding (``build_codebook``) looks each query up in three
+stages: it rounds the query to a lattice point, kept when the query lies in a
+box inside that point's Voronoi cell; it examines the 3x3 lattice neighbourhood
+of what rounding leaves open, kept when a distance certificate proves a
+candidate the unique nearest; the rest go to a sweep over the points'
 horizontal rows, outward from the query. All equal an exhaustive scan,
 including the smallest-index rule on exact ties. Nothing here needs scipy.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -88,23 +90,6 @@ class CodebookConfig:
     def theta_bound(self) -> int:
         """Exclusive upper bound on stored indices: (max_category + 1) * num_points."""
         return (self.max_category + 1) * self.num_points
-
-
-def generalized_tau(v, config: CodebookConfig) -> np.ndarray:
-    """Wrap coordinates mod box_side and shift into the config's box.
-
-    Accepts a single 2-vector or an (n, 2) array; returns the same shape.
-    """
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape[-1] != 2:
-        raise ValueError(f"expected 2-D coordinates, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("generalized_tau requires finite coordinates")
-    side = config.box_side
-    wrapped = np.mod(arr, side)
-    wrapped = np.where(wrapped >= side, 0.0, wrapped)  # guard mod rounding up to side
-    offset = np.array(config.centroid) - side / 2.0
-    return wrapped + offset
 
 
 def direction_vector(
@@ -390,22 +375,18 @@ class _RowSweep:
 
 
 def build_codebook(config: CodebookConfig) -> Codebook:
-    """The config's points, indexed by row for encoding: the cached
-    ``wrapped_points`` plus the offset, bit for bit ``cached_codebook(config)``."""
-    points = wrapped_points(config) + (np.array(config.centroid) - config.box_side / 2.0)
+    """The config's points, indexed by row for encoding: the cached box-frame
+    points shifted into its box, as the decoder shifts them."""
+    points = cached_codebook(config.num_points, config.box_side, config.direction_mode)
+    points = points + (np.array(config.centroid) - config.box_side / 2.0)
     points.setflags(write=False)
     return Codebook(config, points)
 
 
-def wrapped_points(config: CodebookConfig) -> np.ndarray:
-    """Config's points before the shift into its box (``np.mod`` does not
-    depend on the centroid): one cached array per U, side and mode."""
-    half = config.box_side / 2.0
-    return cached_codebook(replace(config, centroid=(half, half), max_category=0, max_radius=0.0))
-
-
-def covering_radius(config: CodebookConfig) -> float:
-    """B, the codebook's covering radius over its box (Conway & Sloane, ch. 2).
+@lru_cache(maxsize=16)
+def covering_radius(num_points: int, box_side: float, mode: DirectionMode) -> float:
+    """B, the covering radius of the codebook over its box (Conway & Sloane,
+    ch. 2), memoized: it depends on U, l and the mode alone.
 
     In the box frame, with R = isqrt(U) and h = l/R. Grid: B = sqrt(2)*h; row
     r >= 1 holds x = (r + jR)*l/U, R*l/U <= h apart from below h to past l - h,
@@ -420,10 +401,10 @@ def covering_radius(config: CodebookConfig) -> float:
     above the last, within hypot(its X, the y distance from the box edge to its
     far side).
     """
-    side, root = config.box_side, math.isqrt(config.num_points)
-    if config.direction_mode is DirectionMode.GRID_SHEAR:
+    side, root = box_side, math.isqrt(num_points)
+    if mode == DirectionMode.GRID_SHEAR:
         return math.sqrt(2) * side / root
-    rows = _RowSweep(wrapped_points(config), 0.0, side / root)  # the box frame
+    rows = _RowSweep(cached_codebook(num_points, side, mode), 0.0, side / root)
     x, first, last = rows._x[:-1], rows._starts[:-1], rows._starts[1:] - 1
     half_gaps = np.diff(x, append=side) / 2
     half_gaps[last] = side - x[last]  # from a row's last point to the box edge
@@ -435,16 +416,17 @@ def covering_radius(config: CodebookConfig) -> float:
 
 
 @lru_cache(maxsize=16)
-def cached_codebook(config: CodebookConfig) -> np.ndarray:
-    """The (num_points, 2) trajectory points, float64, read-only and memoized;
-    encoder and decoder ask through ``wrapped_points``.
+def cached_codebook(num_points: int, box_side: float, mode: DirectionMode) -> np.ndarray:
+    """The (num_points, 2) trajectory points in the box frame [0, l) x [0, l),
+    ``np.mod(lam * a, l)``, float64, read-only and memoized: the encoder and
+    the decoder shift them by the layer's ``centroid - l/2``.
 
-    Points are computed once per codebook and never per query, so an encoded
-    file decodes identically on any platform.
+    Points are computed once per (U, l, mode) and never per query, so an
+    encoded file decodes identically on any platform.
     """
-    direction = direction_vector(config.num_points, config.box_side, config.direction_mode)
-    lam = np.arange(config.num_points, dtype=np.float64)
-    raw = lam[:, None] * np.asarray(direction)
-    points = np.ascontiguousarray(generalized_tau(raw, config))
+    lam = np.arange(num_points, dtype=np.float64)
+    points = np.mod(lam[:, None] * np.asarray(direction_vector(num_points, box_side, mode)),
+                    box_side)
+    points[points >= box_side] = 0.0  # np.mod can round up to box_side
     points.setflags(write=False)
     return points

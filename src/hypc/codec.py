@@ -24,8 +24,8 @@ from .codebook import (
     CodebookConfig,
     DirectionMode,
     build_codebook,
+    cached_codebook,
     covering_radius,
-    wrapped_points,
 )
 from .errors import ConsistencyError, DataError, FormatError
 
@@ -243,9 +243,10 @@ def scale_factor(category: int, box_side: float, max_radius: float, max_category
 
 def ring_error_bounds(config: CodebookConfig) -> np.ndarray:
     """(M + 1,) float64: ring m's pairs decode within B / s_m of the pairs
-    encoded, B = covering_radius(config): a rescaled pair lies in the box and
-    its code is its nearest point. Rounding adds O(ulp(max|c| + l) / s_m)."""
-    return covering_radius(config) / _scale_factors(np.arange(config.max_category + 1), config)
+    encoded, B the covering radius: a rescaled pair lies in the box and its
+    code is its nearest point. Rounding adds O(ulp(max|c| + l) / s_m)."""
+    cover = covering_radius(config.num_points, config.box_side, config.direction_mode)
+    return cover / _scale_factors(np.arange(config.max_category + 1), config)
 
 
 def _encode_thetas(points: np.ndarray, config: CodebookConfig, codebook: Codebook) -> np.ndarray:
@@ -314,6 +315,7 @@ def encode_layer(
     byte-identical payloads. Ring m's pairs decode within ring_error_bounds[m]
     up to rounding. A pair farther than about 1.3e154 (sqrt of the float64
     max) from the centroid raises DataError: its squared distance overflows.
+    So does a code wider than HCMP's 32 bits: codes run below (M + 1) * U <= 2^36.
     """
     shape = tuple(int(s) for s in shape)
     flat = np.asarray(weights)
@@ -331,6 +333,9 @@ def encode_layer(
         theta = _encode_thetas(points, config, build_codebook(config))
     del flat, points
     bit_width = max(1, int(theta.max()).bit_length())
+    if bit_width > 32:
+        raise DataError(f"layer {name!r}: widest code {int(theta.max())} needs {bit_width} "
+                        "bits; HCMP stores codes of at most 32 bits")
     payload = pack_bits(theta, bit_width)
     return EncodedLayer(name, shape, math.prod(shape), padded, config, bit_width, payload, pad_value)
 
@@ -339,7 +344,8 @@ def _restore(theta: np.ndarray, cfg: CodebookConfig) -> np.ndarray:
     """The (len(theta), 2) float64 pairs that stored codes theta decode to."""
     half = cfg.box_side / 2.0
     scales = _scale_factors(theta // cfg.num_points, cfg)
-    restored = np.take(wrapped_points(cfg), theta % cfg.num_points, axis=0)
+    points = cached_codebook(cfg.num_points, cfg.box_side, cfg.direction_mode)
+    restored = np.take(points, theta % cfg.num_points, axis=0)
     # In place, column by column, the float operations of build_codebook and
     # then (p - c) / scale + c.
     for j, c in enumerate(cfg.centroid):

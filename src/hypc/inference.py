@@ -34,12 +34,19 @@ class MlpLayer:
     def __post_init__(self):
         self.weight = np.ascontiguousarray(self.weight, dtype=np.float32)
         self.bias = np.ascontiguousarray(self.bias, dtype=np.float32)
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
-            raise ValueError("weight must be (out, in) and bias (out,)")
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise ValueError(
-                f"bias size {self.bias.shape[0]} != output dim {self.weight.shape[0]}"
-            )
+
+
+def _check_shapes(shapes: list, error: type[Exception]) -> None:
+    """Raise error unless each layer's (weight shape, bias shape) is ((out, in),
+    (out,)) and each in-dim is the previous layer's out-dim."""
+    for i, (weight, bias) in enumerate(shapes):
+        if len(weight) != 2 or len(bias) != 1:
+            raise error(f"layer{i}: weight must be rank 2 and bias rank 1")
+        if weight[0] != bias[0]:
+            raise error(f"bias size {bias[0]} != output dim {weight[0]}")
+        if i and weight[1] != shapes[i - 1][0][0]:
+            raise error(f"layer input dim {weight[1]} does not chain from "
+                        f"previous output dim {shapes[i - 1][0][0]}")
 
 
 @dataclass
@@ -51,12 +58,8 @@ class MlpNetwork:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if nxt.weight.shape[1] != prev.weight.shape[0]:
-                raise ValueError(
-                    f"layer input dim {nxt.weight.shape[1]} does not chain from "
-                    f"previous output dim {prev.weight.shape[0]}"
-                )
+        _check_shapes([(layer.weight.shape, layer.bias.shape) for layer in self.layers],
+                      ValueError)
 
     @property
     def input_dim(self) -> int:
@@ -114,18 +117,18 @@ def _collect_mlp_parts(names: list[str]) -> int:
     return count
 
 
-def _layer_parts(parts: dict, i: int):
-    """Layer i's weight and bias entries (anything with a .shape), rank-checked."""
-    weight, bias = parts[f"layer{i}.weight"], parts[f"layer{i}.bias"]
-    if len(weight.shape) != 2 or len(bias.shape) != 1:
-        raise DataError(f"layer{i}: weight must be rank 2 and bias rank 1")
-    return weight, bias
+def _network_parts(parts: dict) -> list[tuple]:
+    """Each layer's (weight, bias) entries (anything with a .shape), in order,
+    with their shapes checked before anything is decoded."""
+    layers = [(parts[f"layer{i}.weight"], parts[f"layer{i}.bias"])
+              for i in range(_collect_mlp_parts(list(parts)))]
+    _check_shapes([(weight.shape, bias.shape) for weight, bias in layers], DataError)
+    return layers
 
 
 def _assemble_network(parts: dict, to_array) -> MlpNetwork:
-    count = _collect_mlp_parts(list(parts))
-    return MlpNetwork([MlpLayer(*map(to_array, _layer_parts(parts, i)))
-                       for i in range(count)])
+    return MlpNetwork([MlpLayer(to_array(weight), to_array(bias))
+                       for weight, bias in _network_parts(parts)])
 
 
 def bundle_to_network(bundle: TensorBundle) -> MlpNetwork:
@@ -156,25 +159,26 @@ class PipelineTrace:
 def pipelined_forward(model: CompressedModel, batch, with_trace: bool = False):
     """Forward pass that decodes layer i+1 while layer i computes.
 
-    Each layer decodes exactly once per call. Returns the outputs, or
+    Every layer's shapes are checked, as DataError, before any decodes. Each
+    layer decodes exactly once per call. Returns the outputs, or
     (outputs, PipelineTrace) when with_trace is set.
     """
-    parts = {layer.name: layer for layer in model.layers}
-    count = _collect_mlp_parts(list(parts))
-    x = _as_batch(batch, _layer_parts(parts, 0)[0].shape[1])
+    layers = _network_parts({layer.name: layer for layer in model.layers})
+    count = len(layers)
+    x = _as_batch(batch, layers[0][0].shape[1])
     decode_spans: list[tuple[float, float]] = []
     compute_spans: list[tuple[float, float]] = []
 
-    def decode(i: int):
+    def decode(parts: tuple):
         t0 = time.perf_counter()
-        weight, bias = map(decoded_tensor, _layer_parts(parts, i))
+        weight, bias = map(decoded_tensor, parts)
         return weight, bias, (t0, time.perf_counter())
 
     start = time.perf_counter()
     # Leaving the block waits for the decoder, so an error on either side
     # propagates from here and no decoder thread outlives the call.
     with ThreadPoolExecutor(1, thread_name_prefix="hypc-decoder") as decoder:
-        for i, (weight, bias, span) in enumerate(decoder.map(decode, range(count))):
+        for i, (weight, bias, span) in enumerate(decoder.map(decode, layers)):
             decode_spans.append(span)
             t0 = time.perf_counter()
             x = _apply_layer(x, weight, bias, i < count - 1)

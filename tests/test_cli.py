@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from hypc import inference
 from hypc.cli import build_parser, main
 from hypc.codebook import Codebook, DirectionMode, _RowSweep
 from hypc.codec import EncodeParams, encode_layer
@@ -368,6 +369,33 @@ class TestErrors:
         assert result.returncode == 1 and result.stdout == ""
         assert result.stderr.startswith("error: batch must be (n, 6)")
         assert result.stderr.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("flags", [[], ["--pipeline"]])
+    @pytest.mark.parametrize("shapes, message", [
+        ([((3, 4), (1,))], "bias size 1 != output dim 3"),
+        ([((3, 4), (3,)), ((2, 5), (2,))],
+         "layer input dim 5 does not chain from previous output dim 3"),
+    ])
+    def test_infer_refuses_bad_shapes_before_decoding(self, tmp_path, capsys, monkeypatch,
+                                                      shapes, message, flags):
+        # Both arms check every layer's shapes from the file's metadata, so
+        # numpy never broadcasts a bias and no layer decodes first.
+        hcmp = tmp_path / "m.hcmp"
+        csv = tmp_path / "d.csv"
+        layers = []
+        for i, (weight, bias) in enumerate(shapes):
+            layers.append(encode_layer([0.1] * math.prod(weight), f"layer{i}.weight", weight))
+            layers.append(encode_layer([0.1] * math.prod(bias), f"layer{i}.bias", bias))
+        write_hcmp(CompressedModel(layers), hcmp)
+        csv.write_text("x1,x2,x3,x4,label\n0,0,0,0,0\n")
+        decoded = []
+        real = inference.decode_layer
+        monkeypatch.setattr(inference, "decode_layer",
+                            lambda enc, *a: (decoded.append(enc.name), real(enc, *a))[1])
+        code, out, err = run(capsys, "infer", "--model", str(hcmp), "--data", str(csv),
+                             *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert decoded == []
 
     @pytest.mark.parametrize("suffix, flags", [
         (".hcmp", []), (".hcmp", ["--pipeline"]), (".ntb", []),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -13,7 +14,6 @@ from hypc.codebook import (
     DirectionMode,
     build_codebook,
     direction_vector,
-    generalized_tau,
 )
 from hypc.codec import ring_error_bounds
 
@@ -70,32 +70,6 @@ def config(side=0.1, u=225, m=0, mode=GRID, centroid=(0.5, 0.5), radius=0.0):
 
 
 CENTROIDS = [0.0, 1e3, -1e3, 1e9, -1e9, 1e13, -1e13, 1e16, -1e16]
-
-
-class TestGeneralizedTau:
-    def test_zero_maps_to_box_corner(self):
-        out = generalized_tau((0.0, 0.0), config())
-        assert out == pytest.approx([0.45, 0.45], abs=1e-12)
-
-    def test_interior_point(self):
-        out = generalized_tau((0.025, 0.05), config())
-        assert out == pytest.approx([0.475, 0.50], abs=1e-12)
-
-    def test_wrapping_with_origin_centroid(self):
-        out = generalized_tau((0.15, 0.25), config(centroid=(0.0, 0.0)))
-        assert out == pytest.approx([0.0, 0.0], abs=1e-12)
-
-    def test_result_inside_closed_box(self):
-        cfg = config(side=0.3, centroid=(-1.2, 0.7))
-        rng = np.random.default_rng(0)
-        pts = generalized_tau(rng.normal(size=(500, 2)) * 10, cfg)
-        x_lo, x_hi, y_lo, y_hi = cfg.box
-        assert (pts[:, 0] >= x_lo).all() and (pts[:, 0] <= x_hi).all()
-        assert (pts[:, 1] >= y_lo).all() and (pts[:, 1] <= y_hi).all()
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            generalized_tau((math.nan, 0.0), config())
 
 
 class TestDirectionVector:
@@ -183,6 +157,21 @@ class TestBuildCodebook:
         cb = build_codebook(config(u=9))
         with pytest.raises(ValueError):
             cb.points[0, 0] = 0.0
+
+    def test_geometry_bytes_are_pinned(self):
+        # One digest over the points and ring bounds of 756 configs: both
+        # modes, U in 1..39, 225, 4096 and 65536, three sides and three
+        # centroids. Pinned before the points were cached per (U, l, mode).
+        digest = hashlib.sha256()
+        for mode in (GRID, PAPER):
+            for u in (*range(1, 40), 225, 4096, 65536):
+                for side in (1e-3, 0.1, 10.0):
+                    for centroid in ((0.0, 0.0), (0.3, -0.2), (1e9, 1e9)):
+                        cfg = CodebookConfig(side, u, 3, mode, centroid, 0.37 * side)
+                        digest.update(build_codebook(cfg).points.tobytes())
+                        digest.update(ring_error_bounds(cfg).tobytes())
+        assert digest.hexdigest() == (
+            "5195b4e773cc9705422d964fa92a0e760c15b5c3163ff2f5c39605a3ccc8d8e0")
 
 
 class TestNearest:

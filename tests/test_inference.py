@@ -203,7 +203,8 @@ class TestPipelineErrors:
             layers.append(encode_layer(rng.normal(size=out), f"layer{i}.bias", (out,)))
         exc = raised_within(30, lambda: pipelined_forward(
             CompressedModel(layers), np.zeros((1, 6), np.float32)))
-        assert isinstance(exc, ValueError)
+        assert isinstance(exc, DataError)
+        assert str(exc) == "layer input dim 7 does not chain from previous output dim 5"
 
     def test_rank_zero_weight_is_a_data_error(self):
         layers = [encode_layer([0.5], "layer0.weight", ()),
