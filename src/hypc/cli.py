@@ -29,6 +29,8 @@ from .container import (
 )
 from .errors import DataError, HypcError
 from .inference import (
+    MlpLayer,
+    MlpNetwork,
     bundle_to_network,
     eval_accuracy,
     load_dataset_csv,
@@ -185,15 +187,14 @@ def _cmd_gen(args) -> int:
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise DataError("--layers needs at least two positive dims, e.g. 4,32,2")
     rng = np.random.default_rng(args.seed)
-    tensors = []
-    for i in range(len(dims) - 1):
-        w = rng.random((dims[i + 1], dims[i]), dtype=np.float32) - np.float32(0.5)
-        b = rng.random(dims[i + 1], dtype=np.float32) - np.float32(0.5)
-        tensors.append(Tensor(f"layer{i}.weight", w.shape, w.reshape(-1)))
-        tensors.append(Tensor(f"layer{i}.bias", b.shape, b))
-    write_ntb(TensorBundle(tensors), args.output)
+    layers = []
+    for inp, out in zip(dims, dims[1:]):  # each layer draws its weight, then its bias
+        weight = rng.random((out, inp), dtype=np.float32) - np.float32(0.5)
+        layers.append(MlpLayer(weight, rng.random(out, dtype=np.float32) - np.float32(0.5)))
+    bundle = network_to_bundle(MlpNetwork(layers))
+    write_ntb(bundle, args.output)
     print(json.dumps({"seed": args.seed, "layers": len(dims) - 1,
-                      "weights": int(sum(t.data.size for t in tensors)),
+                      "weights": bundle.total_elements,
                       "output_bytes": os.path.getsize(args.output)}))
     return 0
 

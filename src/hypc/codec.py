@@ -50,8 +50,6 @@ class EncodedLayer:
 
     name: str
     shape: tuple[int, ...]
-    element_count: int
-    padded: bool
     config: CodebookConfig
     bit_width: int
     payload: bytes
@@ -60,13 +58,6 @@ class EncodedLayer:
     def __post_init__(self):
         if not self.name:
             raise ValueError("layer name must be non-empty")
-        if math.prod(self.shape) != self.element_count:
-            raise ValueError(
-                f"shape {self.shape} holds {math.prod(self.shape)} elements, "
-                f"not {self.element_count}"
-            )
-        if self.padded != (self.element_count % 2 == 1):
-            raise ValueError("padded flag must mark exactly the odd-length layers")
         if not 1 <= self.bit_width <= 32:
             raise ValueError(f"bit_width must be in [1, 32], got {self.bit_width}")
         expected = (self.group_count * self.bit_width + 7) // 8
@@ -75,6 +66,10 @@ class EncodedLayer:
                 f"payload of layer {self.name!r} is {len(self.payload)} bytes, "
                 f"expected {expected}"
             )
+
+    @property
+    def element_count(self) -> int:
+        return math.prod(self.shape)
 
     @property
     def group_count(self) -> int:
@@ -321,12 +316,12 @@ def encode_layer(
     flat = np.asarray(weights)
     if math.prod(shape) != flat.size:
         raise DataError(f"shape {shape} does not match {flat.size} weights")
-    points, padded, pad_value = group_pairs(flat)
+    points, _, pad_value = group_pairs(flat)
     centroid, max_radius = _analyze(points)
     config = CodebookConfig(params.box_side, params.num_points, params.max_category,
                             params.direction_mode, centroid, max_radius)
     if len(points) == 0:
-        return EncodedLayer(name, shape, 0, False, config, 1, b"", 0.0)
+        return EncodedLayer(name, shape, config, 1, b"", 0.0)
     if reference:
         theta = _reference_thetas(points, config, build_codebook(config).points)
     else:
@@ -337,7 +332,7 @@ def encode_layer(
         raise DataError(f"layer {name!r}: widest code {int(theta.max())} needs {bit_width} "
                         "bits; HCMP stores codes of at most 32 bits")
     payload = pack_bits(theta, bit_width)
-    return EncodedLayer(name, shape, math.prod(shape), padded, config, bit_width, payload, pad_value)
+    return EncodedLayer(name, shape, config, bit_width, payload, pad_value)
 
 
 def _restore(theta: np.ndarray, cfg: CodebookConfig) -> np.ndarray:

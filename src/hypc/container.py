@@ -30,7 +30,8 @@ DTYPE_F32 = 0
 
 # Fixed part of an HCMP layer record, between its shape and its payload:
 # element count, padded flag, box side, U, max category, direction mode,
-# centroid x and y, max radius, pad value, bit width, payload length.
+# centroid x and y, max radius, pad value, bit width, payload length. The
+# shape fixes the first two, and the parser refuses a record they contradict.
 _HCMP_LAYER = struct.Struct("<QBdIHBddddBQ")
 _PADDED_AT, _MODE_AT = 8, 23  # byte offsets of the two tags within it
 
@@ -215,7 +216,7 @@ def _hcmp_parts(model: CompressedModel):
     for layer in model.layers:
         cfg = layer.config
         yield _encode_name(layer.name) + _encode_shape(layer.shape) + _HCMP_LAYER.pack(
-            layer.element_count, int(layer.padded), cfg.box_side, cfg.num_points,
+            layer.element_count, layer.element_count % 2, cfg.box_side, cfg.num_points,
             cfg.max_category, int(cfg.direction_mode), *cfg.centroid,
             cfg.max_radius, layer.pad_value, layer.bit_width, len(layer.payload),
         )
@@ -246,7 +247,10 @@ def _parse_hcmp(stream) -> CompressedModel:
         (element_count, padded, box_side, num_points, max_category, mode_tag,
          cx, cy, max_radius, pad_value, bit_width, payload_len,
          ) = _HCMP_LAYER.unpack(r.take(_HCMP_LAYER.size))
-        if padded not in (0, 1):
+        if element_count != math.prod(shape):
+            raise FormatError(f"HCMP: element count {element_count} at offset {fixed_at} "
+                              f"does not fill shape {shape}")
+        if padded != element_count % 2:
             raise FormatError(
                 f"HCMP: bad padded flag {padded} at offset {fixed_at + _PADDED_AT}")
         if mode_tag not in (0, 1):
@@ -256,8 +260,7 @@ def _parse_hcmp(stream) -> CompressedModel:
         try:
             config = CodebookConfig(box_side, num_points, max_category,
                                     DirectionMode(mode_tag), (cx, cy), max_radius)
-            layer = EncodedLayer(name, shape, element_count, bool(padded),
-                                 config, bit_width, payload, pad_value)
+            layer = EncodedLayer(name, shape, config, bit_width, payload, pad_value)
         except ValueError as exc:
             raise FormatError(f"HCMP: layer {name!r}: {exc}") from exc
         layers.append(layer)

@@ -23,7 +23,7 @@ from .codec import EncodedLayer, decode_layer
 from .container import CompressedModel, Tensor, TensorBundle, _write_parts
 from .errors import DataError
 
-_WEIGHT_RE = re.compile(r"^layer(\d+)\.(weight|bias)$")
+_PART_NAME = re.compile(r"layer(0|[1-9][0-9]*)\.(weight|bias)")
 
 
 @dataclass
@@ -91,7 +91,7 @@ def mlp_forward(net: MlpNetwork, batch) -> np.ndarray:
 
 
 def network_to_bundle(net: MlpNetwork) -> TensorBundle:
-    """Flatten a network into layer{i}.weight / layer{i}.bias tensors."""
+    """Flatten a network into layer{i}.weight / .bias tensors, the names _network_parts reads."""
     tensors = []
     for i, layer in enumerate(net.layers):
         tensors.append(Tensor(f"layer{i}.weight", layer.weight.shape, layer.weight.reshape(-1)))
@@ -99,41 +99,29 @@ def network_to_bundle(net: MlpNetwork) -> TensorBundle:
     return TensorBundle(tensors)
 
 
-def _collect_mlp_parts(names: list[str]) -> int:
-    """Validate the layer{i}.{weight,bias} naming and return the layer count."""
-    seen: dict[tuple[int, str], None] = {}
-    for name in names:
-        m = _WEIGHT_RE.match(name)
+def _network_parts(named) -> list[tuple]:
+    """Each layer's (weight, bias) among named entries (anything with .name and
+    .shape), in order. The names must be exactly layer<i>.weight and .bias for
+    i = 0..n-1; names and shapes are checked, as DataError, before any decode."""
+    found: dict[int, dict[str, object]] = {}
+    for part in named:
+        m = _PART_NAME.fullmatch(part.name)
         if not m:
-            raise DataError(f"tensor {name!r} does not follow layer<i>.weight/bias naming")
-        seen[(int(m.group(1)), m.group(2))] = None
-    if not seen:
+            raise DataError(f"tensor {part.name!r} does not follow layer<i>.weight/bias naming")
+        found.setdefault(int(m.group(1)), {})[m.group(2)] = part
+    if not found:
         raise DataError("model has no layers")
-    count = 1 + max(i for i, _ in seen)
-    expected = {(i, kind) for i in range(count) for kind in ("weight", "bias")}
-    missing = expected - seen.keys()
-    if missing:
-        raise DataError(f"missing tensors for {sorted(missing)}")
-    return count
-
-
-def _network_parts(parts: dict) -> list[tuple]:
-    """Each layer's (weight, bias) entries (anything with a .shape), in order,
-    with their shapes checked before anything is decoded."""
-    layers = [(parts[f"layer{i}.weight"], parts[f"layer{i}.bias"])
-              for i in range(_collect_mlp_parts(list(parts)))]
+    for i, kind in itertools.product(range(len(found)), ("weight", "bias")):
+        if kind not in found.get(i, ()):
+            raise DataError(f"missing tensor layer{i}.{kind}")
+    layers = [(found[i]["weight"], found[i]["bias"]) for i in range(len(found))]
     _check_shapes([(weight.shape, bias.shape) for weight, bias in layers], DataError)
     return layers
 
 
-def _assemble_network(parts: dict, to_array) -> MlpNetwork:
-    return MlpNetwork([MlpLayer(to_array(weight), to_array(bias))
-                       for weight, bias in _network_parts(parts)])
-
-
 def bundle_to_network(bundle: TensorBundle) -> MlpNetwork:
-    return _assemble_network({t.name: t for t in bundle.tensors},
-                             lambda t: t.data.reshape(t.shape))
+    return MlpNetwork([MlpLayer(weight.data.reshape(weight.shape), bias.data)
+                       for weight, bias in _network_parts(bundle.tensors)])
 
 
 def decoded_tensor(enc: EncodedLayer) -> np.ndarray:
@@ -143,8 +131,8 @@ def decoded_tensor(enc: EncodedLayer) -> np.ndarray:
 
 def model_to_network(model: CompressedModel) -> MlpNetwork:
     """Decode everything up front and assemble the network (the sequential arm)."""
-    return _assemble_network({layer.name: layer for layer in model.layers},
-                             decoded_tensor)
+    return MlpNetwork([MlpLayer(decoded_tensor(weight), decoded_tensor(bias))
+                       for weight, bias in _network_parts(model.layers)])
 
 
 @dataclass
@@ -163,7 +151,7 @@ def pipelined_forward(model: CompressedModel, batch, with_trace: bool = False):
     layer decodes exactly once per call. Returns the outputs, or
     (outputs, PipelineTrace) when with_trace is set.
     """
-    layers = _network_parts({layer.name: layer for layer in model.layers})
+    layers = _network_parts(model.layers)
     count = len(layers)
     x = _as_batch(batch, layers[0][0].shape[1])
     decode_spans: list[tuple[float, float]] = []
@@ -295,13 +283,25 @@ def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 numbers.append(n)
                 yield line
 
+    def parse(lines):
+        return np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64, comments=None)
+
     with open(path, encoding="utf-8") as f:
         rows = data_rows(f)
         first = next(rows, None)
         if first is None:
             raise DataError(f"{path}: no data rows")
-        table = np.loadtxt(itertools.chain([first], rows), delimiter=",", ndmin=2,
-                           dtype=np.float64, comments=None)
+        try:
+            table = parse(itertools.chain([first], rows))
+        except ValueError:  # name the first row that does not parse after the first
+            with open(path, encoding="utf-8") as again:
+                for line in data_rows(again):
+                    try:
+                        parse([first, line])
+                    except ValueError:
+                        raise DataError(f"{path}: line {numbers[-1]}: not "
+                                        f"{first.count(',') + 1} numbers") from None
+            raise
     if table.shape[1] < 2:
         raise DataError("dataset CSV needs at least one feature column plus label")
     features, labels = table[:, :-1], table[:, -1]

@@ -419,6 +419,9 @@ class TestErrors:
         ("0,0,0\n0,nan,0\n", "line 3: feature is not finite"),
         ("0,inf,1\n", "line 2: feature is not finite"),
         ("", "no data rows"),
+        # Rows numpy cannot parse: the file line, not numpy's row index.
+        ("0.1,0.2,0\n\n0.3,0.4\n", "d.csv: line 4: not 3 numbers"),
+        ("0.1,0.2,0\n0.3,abc,1\n", "d.csv: line 3: not 3 numbers"),
     ])
     def test_bad_dataset_rows_rejected(self, tmp_path, capsys, body, message):
         ntb = tmp_path / "m.ntb"
@@ -429,6 +432,22 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
         assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("rename", [False, True])
+    def test_leading_zero_layer_index_is_refused(self, tmp_path, capsys, rename):
+        # A zero layer01.weight next to layer1.weight, or in its place: both
+        # arms refuse the name instead of ignoring the tensor or failing a lookup.
+        ntb, hcmp, csv = tmp_path / "m.ntb", tmp_path / "m.hcmp", tmp_path / "d.csv"
+        run(capsys, "gen", "--layers", "4,3,2", "--output", str(ntb))
+        tensors = [t for t in read_ntb(ntb).tensors
+                   if not (rename and t.name == "layer1.weight")]
+        write_ntb(TensorBundle(tensors + [Tensor("layer01.weight", (2, 3), [0.0] * 6)]), ntb)
+        run(capsys, "compress", "--input", str(ntb), "--output", str(hcmp))
+        csv.write_text("x1,x2,x3,x4,label\n0,0,0,0,0\n")
+        for model, flags in ((ntb, []), (hcmp, []), (hcmp, ["--pipeline"])):
+            assert run(capsys, "infer", "--model", str(model), "--data", str(csv), *flags) == (
+                1, "", "error: tensor 'layer01.weight' does not follow layer<i>.weight/bias "
+                "naming\n")
 
     def test_bad_direction_in_overrides(self, tmp_path, capsys):
         ntb = tmp_path / "m.ntb"
@@ -602,7 +621,9 @@ class TestDeterminism:
     def test_reference_model_bytes_are_pinned(self, reference_model):
         # Every encoder and decoder change so far has kept these bytes; the
         # digests pin what the fast encode arm writes for the reference model.
-        _, hcmp, out = reference_model
+        ntb, hcmp, out = reference_model
+        assert hashlib.sha256(ntb.read_bytes()).hexdigest() == (
+            "88941b0311349a7c3133b18fa9ecc79707ff2a5b7a5f746c3ff7b1fb76fb6231")
         assert hashlib.sha256(hcmp.read_bytes()).hexdigest() == (
             "d40d8a5b267dc4008a0f27d35f5e8c0cacaaca723ebfa4b2f8b76195d5e95472")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (

@@ -413,7 +413,7 @@ class TestEncodeDecode:
         rng = np.random.default_rng(length)
         weights = rng.uniform(-1, 1, size=length)
         enc = encode_layer(weights, "w", (length,), PARAMS)
-        assert enc.padded == (length % 2 == 1)
+        assert (enc.element_count % 2 == 1) == (length % 2 == 1)
         restored = decode_layer(enc)
         assert restored.size == length
 
@@ -562,7 +562,7 @@ class TestDecodeTheta:
     def decode_one(theta, cfg):
         """Decode a 2-weight layer whose only stored index is ``theta``."""
         width = max(1, theta.bit_length())
-        layer = EncodedLayer("w", (2,), 2, False, cfg, width,
+        layer = EncodedLayer("w", (2,), cfg, width,
                              pack_bits([theta], width), 0.0)
         return tuple(decode_layer(layer))
 
@@ -593,10 +593,10 @@ class TestDecodeTheta:
         cfg = CodebookConfig(1e-300, 4, 1, GRID, (0.0, 0.0), 1e308)
         for theta in ([0, 1, 2, 3] * 2, [0, 1, 2, 3, 3, 2, 1]):
             n = 2 * len(theta)
-            layer = EncodedLayer("w", (n,), n, False, cfg, 3, pack_bits(theta, 3), 0.0)
+            layer = EncodedLayer("w", (n,), cfg, 3, pack_bits(theta, 3), 0.0)
             with np.errstate(all="raise"):
                 assert np.isfinite(decode_layer(layer)).all()
-            layer = EncodedLayer("w", (n,), n, False, cfg, 3,
+            layer = EncodedLayer("w", (n,), cfg, 3,
                                  pack_bits(theta[:-1] + [5], 3), 0.0)
             for dtype in (np.float64, np.float32):
                 with np.errstate(all="raise"), pytest.raises(
@@ -608,10 +608,10 @@ class TestDecodeTheta:
         # Only the pad coordinate, y ~ 1e300, overflows float32; the layer's
         # one weight, x = -0.5, is finite.
         cfg = CodebookConfig(1.0, num_points, 0, GRID, (0.0, 1e300), 0.0)
-        layer = EncodedLayer("w", (1,), 1, True, cfg, 1, pack_bits([0], 1), 1e300)
+        layer = EncodedLayer("w", (1,), cfg, 1, pack_bits([0], 1), 1e300)
         with np.errstate(all="raise"):
             assert decode_layer(layer, np.float32).tolist() == [-0.5]
-        layer = EncodedLayer("w", (2,), 2, False, cfg, 1, pack_bits([0], 1), 0.0)
+        layer = EncodedLayer("w", (2,), cfg, 1, pack_bits([0], 1), 0.0)
         assert decode_layer(layer).tolist() == [-0.5, 1e300]
         with pytest.raises(FormatError, match=r"code 0 decodes weight 1 to inf in float32"):
             decode_layer(layer, np.float32)
@@ -644,7 +644,7 @@ class TestDecodeTheta:
         u = 1 << 20
         cached_codebook.cache_clear()
         layers = [
-            EncodedLayer("w", (2,), 2, False,
+            EncodedLayer("w", (2,),
                          CodebookConfig(0.1, u, 0, GRID, (0.01 * i, -0.02 * i), 0.0),
                          20, pack_bits([12345 + i], 20), 0.0)
             for i in range(12)
@@ -678,7 +678,7 @@ class TestDecodeTheta:
         cfg = self.cfg()  # bound = 4, but 3 bits can hold up to 7
         for theta in ([5], [0, 1, 2, 3, 5, 3]):
             count = 2 * len(theta)
-            layer = EncodedLayer("w", (count,), count, False, cfg, 3,
+            layer = EncodedLayer("w", (count,), cfg, 3,
                                  pack_bits(theta, 3), 0.0)
             with pytest.raises(FormatError):
                 decode_layer(layer)
@@ -699,7 +699,7 @@ class TestDecodeTheta:
                 cfg = CodebookConfig(float(rng.uniform(0.01, 0.5)), u, m, mode,
                                      tuple(rng.normal(0, 0.1, 2).tolist()),
                                      float(rng.uniform(0.0, 1.0)))
-                layer = EncodedLayer("w", (count,), count, True, cfg, width,
+                layer = EncodedLayer("w", (count,), cfg, width,
                                      pack_bits(theta, width), 0.0)
                 (spec,) = hcmp_v1_spec.read_layers(dump_hcmp(CompressedModel([layer])))
                 weights = hcmp_v1_spec.decode_weights(spec)
@@ -717,7 +717,7 @@ class TestDecodeTheta:
         theta = np.random.default_rng(u).integers(0, u * (m + 1), size=groups)
         width = int(theta.max()).bit_length()
         cfg = CodebookConfig(0.1, u, m, GRID, (0.01, -0.02), 0.3)
-        layer = EncodedLayer("w", (2 * groups,), 2 * groups, False, cfg, width,
+        layer = EncodedLayer("w", (2 * groups,), cfg, width,
                              pack_bits(theta, width), 0.0)
         del theta
         for dtype, limit in ((np.float64, limit_mb), (np.float32, limit_mb - 3)):
@@ -739,7 +739,7 @@ class TestDecodeTheta:
         width = int(theta.max()).bit_length()
         cfg = CodebookConfig(0.1, u, m, GRID, (0.3, -0.7), 2.5)
         count = 2 * groups - 1
-        layer = EncodedLayer("w", (count,), count, True, cfg, width,
+        layer = EncodedLayer("w", (count,), cfg, width,
                              pack_bits(theta, width), 0.0)
         assert (groups >= cfg.theta_bound) == (u * (m + 1) <= 5000)
         single = decode_layer(layer, np.float32)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -330,15 +331,22 @@ class TestHcmp:
         with pytest.raises(FormatError, match="num_points"):
             load_hcmp(bytes(blob))
 
-    @pytest.mark.parametrize("field, at", [("padded flag", 8), ("direction mode", 23)])
-    def test_bad_tag_error_names_its_offset(self, field, at):
+    @pytest.mark.parametrize("at, size, value, message", [
+        pytest.param(8, 1, 7, "bad padded flag 7 at offset 30", id="padded flag-8"),
+        # 4 elements pad nothing, so the flag must be 0
+        pytest.param(8, 1, 1, "bad padded flag 1 at offset 30", id="padded parity-8"),
+        pytest.param(23, 1, 7, "bad direction mode 7 at offset 45", id="direction mode-23"),
+        pytest.param(0, 8, 5, "element count 5 at offset 22 does not fill shape (4,)",
+                     id="element count-0"),
+    ])
+    def test_bad_tag_error_names_its_offset(self, at, size, value, message):
         enc = encode_layer(np.arange(4.0), "w", (4,))
         blob = bytearray(dump_hcmp(CompressedModel([enc])))
         # header(10) name(2+1) shape(1+8), then the fixed layer fields
         offset = 10 + 3 + 9 + at
-        assert blob[offset] == 0
-        blob[offset] = 7
-        with pytest.raises(FormatError, match=f"bad {field} 7 at offset {offset}$"):
+        assert blob[offset : offset + size] == (4 if at == 0 else 0).to_bytes(size, "little")
+        blob[offset : offset + size] = value.to_bytes(size, "little")
+        with pytest.raises(FormatError, match=f"^HCMP: {re.escape(message)}$"):
             load_hcmp(bytes(blob))
 
     def test_payload_length_mismatch_rejected(self):
@@ -411,7 +419,7 @@ class TestV1Corpus:
         assert {l.config.num_points for l in layers} >= {1, 4, 225, 361, 4096, 65536}
         assert {l.config.direction_mode for l in layers} == set(DirectionMode)
         assert {0, 3, 15} <= {l.config.max_category for l in layers}
-        assert any(l.padded for l in layers)
+        assert any(l.element_count % 2 == 1 for l in layers)
         assert any(l.element_count == 0 for l in layers)
 
     def test_moved_file_holds_top_row_points(self):

@@ -89,8 +89,31 @@ class TestBundleConversion:
 
     def test_missing_bias_rejected(self):
         bundle = TensorBundle([Tensor("layer0.weight", (2, 2), np.zeros(4))])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^missing tensor layer0\.bias$"):
             bundle_to_network(bundle)
+
+    def test_gap_in_layer_indices_is_named(self):
+        bundle = network_to_bundle(random_network(np.random.default_rng(12)))
+        tensors = [t for t in bundle.tensors if not t.name.startswith("layer1.")]
+        with pytest.raises(DataError, match=r"^missing tensor layer1\.weight$"):
+            bundle_to_network(TensorBundle(tensors))
+
+
+class TestLayerNames:
+    @pytest.mark.parametrize("rename", [False, True])
+    def test_leading_zero_index_is_refused_by_every_reader(self, rename):
+        # A zero layer01.weight next to layer1.weight, or in its place: no
+        # reader ignores the tensor or fails a lookup by name.
+        bundle = network_to_bundle(random_network(np.random.default_rng(11)))
+        tensors = [t for t in bundle.tensors if not (rename and t.name == "layer1.weight")]
+        tensors.append(Tensor("layer01.weight", (4, 5), np.zeros(20)))
+        bundle = TensorBundle(tensors)
+        model = CompressedModel([encode_layer(t.data, t.name, t.shape) for t in tensors])
+        message = "tensor 'layer01.weight' does not follow layer<i>.weight/bias naming"
+        for call in (lambda: bundle_to_network(bundle), lambda: model_to_network(model),
+                     lambda: pipelined_forward(model, np.zeros((1, 6), np.float32))):
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 class TestPipelinedForward:
@@ -157,8 +180,8 @@ class TestPipelinedForward:
             bad.config.box_side, 1, 0, bad.config.direction_mode,
             bad.config.centroid, bad.config.max_radius,
         )
-        hacked = type(bad)(bad.name, bad.shape, bad.element_count, bad.padded,
-                           hacked_cfg, bad.bit_width, bad.payload, bad.pad_value)
+        hacked = type(bad)(bad.name, bad.shape, hacked_cfg, bad.bit_width,
+                           bad.payload, bad.pad_value)
         layers = [hacked if l.name == bad.name else l for l in model.layers]
         with pytest.raises(FormatError):
             pipelined_forward(CompressedModel(layers), np.zeros((1, 6), np.float32))
