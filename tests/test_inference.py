@@ -98,6 +98,13 @@ class TestBundleConversion:
         with pytest.raises(DataError, match=r"^missing tensor layer1\.weight$"):
             bundle_to_network(TensorBundle(tensors))
 
+    def test_far_layer_index_names_the_first_gap(self):
+        # n entries leave a gap below index n, so the check stops there and
+        # never walks toward a stray far index.
+        bundle = TensorBundle([Tensor("layer100000000.weight", (2, 2), np.zeros(4))])
+        with pytest.raises(DataError, match=r"^missing tensor layer0\.weight$"):
+            bundle_to_network(bundle)
+
 
 class TestLayerNames:
     @pytest.mark.parametrize("rename", [False, True])
