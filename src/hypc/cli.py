@@ -33,6 +33,7 @@ from .inference import (
     MlpNetwork,
     bundle_to_network,
     eval_accuracy,
+    input_dim,
     load_dataset_csv,
     make_toy_dataset,
     model_to_network,
@@ -134,27 +135,14 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    model = read_hcmp(args.path)
-    rows = [
-        {
-            "name": l.name,
-            "shape": list(l.shape),
-            "u": l.config.num_points,
-            "max_class": l.config.max_category,
-            "l": l.config.box_side,
-            "bit_width": l.bit_width,
-            "payload_bytes": len(l.payload),
-        }
-        for l in model.layers
-    ]
+    fields = ["name", "shape", "u", "max_class", "l", "bit_width", "payload_bytes"]
+    rows = [[l.name, list(l.shape), l.config.num_points, l.config.max_category,
+             l.config.box_side, l.bit_width, len(l.payload)] for l in read_hcmp(args.path).layers]
     if args.pretty:
-        print(_format_table(
-            ["name", "shape", "u", "max_class", "l", "bit_width", "payload_bytes"],
-            [[r["name"], "x".join(map(str, r["shape"])) or "scalar", r["u"],
-              r["max_class"], r["l"], r["bit_width"], r["payload_bytes"]] for r in rows],
-        ))
+        print(_format_table(fields, [[name, "x".join(map(str, shape)) or "scalar", *rest]
+                                     for name, shape, *rest in rows]))
     else:
-        print(json.dumps(rows))
+        print(json.dumps([dict(zip(fields, row)) for row in rows]))
     return 0
 
 
@@ -226,6 +214,9 @@ def _cmd_infer(args) -> int:
             model = model_to_network(model)
     else:
         raise DataError(f"{args.model}: neither an NTB nor an HCMP file")
+    if x.shape[1] != (width := input_dim(model)):
+        raise DataError(f"batch must be (n, {width}), got {x.shape}: {args.data} has "
+                        f"{x.shape[1]} feature columns, {args.model} takes {width}")
     acc = eval_accuracy(model, x, labels)
     print(json.dumps({"accuracy": acc}))
     return 0

@@ -2,15 +2,16 @@
 
 A codebook is the finite set of points ``tau(lam * a)`` for ``lam = 0 .. num_points-1``,
 where ``tau`` wraps coordinates into a square box centered on the layer's centroid and
-``a`` is the per-step direction vector. The points before the shift into the
-box, and the covering radius, depend on U, l and the mode alone and are cached
-per that triple (``cached_codebook``, ``covering_radius``). Decoding only reads
-points by index. Encoding (``build_codebook``) looks each query up in three
-stages: it rounds the query to a lattice point, kept when the query lies in a
-box inside that point's Voronoi cell; it examines the 3x3 lattice neighbourhood
-of what rounding leaves open, kept when a distance certificate proves a
-candidate the unique nearest; the rest go to a sweep over the points'
-horizontal rows, outward from the query. All equal an exhaustive scan,
+``a`` is the per-step direction vector. The points in the box frame and the covering
+radius depend on U, l and the mode alone: one array and one radius per that triple
+(``cached_codebook``, ``covering_radius``). A layer's point lam is row lam of that array
+plus ``centroid - l/2``, added after the gather (``gather``) by decoder and encoder alike,
+so a layer does no O(U) work unless its lookup reaches the row sweep. Encoding
+(``build_codebook``) looks each query up in three stages: it rounds the query to a
+lattice point, kept when the query lies in a box inside that point's Voronoi cell; it
+examines the 3x3 lattice neighbourhood of what rounding leaves open, kept when a
+distance certificate proves a candidate the unique nearest; the rest go to a sweep over
+the points' horizontal rows, outward from the query. All equal an exhaustive scan,
 including the smallest-index rule on exact ties. Nothing here needs scipy.
 """
 
@@ -115,7 +116,7 @@ def direction_vector(
 
 
 class Codebook:
-    """Read-only points plus the lattice and row index of the encoder's lookup.
+    """One layer's view of the cached box-frame points, indexed for lookup.
 
     The points lie on ``isqrt(U) + 1`` horizontal rows: row ``r`` near
     ``y_lo + r * l / isqrt(U)``, where the top row holds the bottom-row points
@@ -124,22 +125,23 @@ class Codebook:
     lattice finds a candidate in O(1), settled by a box in its Voronoi cell
     (``_round``). Other queries, in either mode, get the nine lattice points
     of the three rows and in-row indices around them (``_stencil``); ties at
-    its edge and float-collapsed codebooks go to the row sweep (``_RowSweep``,
-    indexed on first use). Built only to encode (``build_codebook``); decoding
-    reads the points alone. Safe for concurrent readers.
+    its edge and float-collapsed codebooks go to the row sweep (``_RowSweep``).
+    Each stage gathers the points it reads (``gather``), so a layer holds
+    scalars and O(isqrt(U)) tables; the shifted ``points`` and the sweep's
+    index are built on first use. Safe for concurrent readers.
     """
 
-    def __init__(self, config: CodebookConfig, points: np.ndarray):
+    def __init__(self, config: CodebookConfig):
         self.config = config
-        self.points = points
+        key = (config.num_points, config.box_side, config.direction_mode)
+        self._frame = cached_codebook(*key)
         root = math.isqrt(config.num_points)
         # Lattice of the rounding pre-pass: point lam sits near row lam % root
         # at y_lo + row * h and x_lo + lam * dx. A stored point is at most err
         # from that position per coordinate: the products lam * dx and lam * dy
         # (lam * dy < (root + 2) * l) and the shift into the box each round.
         self._root = root
-        self._dx, self._h = direction_vector(config.num_points, config.box_side,
-                                             config.direction_mode)
+        self._dx, self._h = direction_vector(*key)
         corner = max(abs(c) for c in config.box)
         self._err = 4 * (root + 2) * math.ulp(config.box_side) + 4 * math.ulp(corner)
         margin = 4 * (root + 4) * self._err + 1e-9 * self._h
@@ -148,8 +150,15 @@ class Codebook:
         # p and p + 1 (mod root) and the last in-row index of each, as float.
         self._rows = np.mod(np.arange(root + 1) + _STEPS, root)
         self._last = (config.num_points - 1 - self._rows) // root
-        self._cols = np.ascontiguousarray(points.T)  # gathers read one column each
-        self._x_extent = (self._cols[0].min(), self._cols[0].max())
+        # Float addition is monotone: the shifted points' extremes are the extremes shifted.
+        self._x_extent = gather(self._frame, _x_extremes(*key), config)[:, 0]
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """All U points in the box, read-only: the row sweep's input, built on first use."""
+        points = gather(self._frame, np.arange(self.config.num_points), self.config)
+        points.setflags(write=False)
+        return points
 
     def nearest_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized nearest: (indices, distances) for an (n, 2) query array.
@@ -210,8 +219,10 @@ class Codebook:
         k = np.rint(((np.clip(qx, x_lo, x_hi) - x_lo) / self._dx - row) / root)
         np.clip(k, 0, np.take(self._last[1], at, mode="clip"), out=k)
         lam = (k * root + row).astype(np.int64)
-        ddx = np.take(self._cols[0], lam) - qx
-        ddy = np.take(self._cols[1], lam) - qy
+        near = gather(self._frame, lam, self.config)
+        ddx = near[:, 0] - qx
+        ddy = near[:, 1] - qy
+        del near  # freed before the temporaries below
         dsq = ddx * ddx + ddy * ddy
         np.abs(ddx, out=ddx)
         settled = ddx < self._box[0]
@@ -247,14 +258,14 @@ class Codebook:
         last = np.take(self._last, at, axis=1)
         k = np.rint(((np.clip(qx, x_lo, x_hi) - x_lo) / dx - row) / root)
         np.clip(k, 1, last - 1, out=k)
-        near = (k[:, None] + _STEPS) * root + row[:, None]
-        lam = near.astype(np.int64).reshape(9, len(qx))
-        ddx = np.take(self._cols[0], lam) - qx
-        ddy = np.take(self._cols[1], lam) - qy
-        ddx *= ddx
-        ddx += ddy * ddy
-        dsq = ddx.min(axis=0)
-        lam = np.where(ddx == dsq, lam, self.config.num_points).min(axis=0)
+        lam = ((k[:, None] + _STEPS) * root + row[:, None]).astype(np.int64).reshape(9, len(qx))
+        diff = gather(self._frame, lam, self.config)
+        diff[..., 0] -= qx
+        diff[..., 1] -= qy
+        diff *= diff
+        near = diff[..., 0] + diff[..., 1]
+        dsq = near.min(axis=0)
+        lam = np.where(near == dsq, lam, self.config.num_points).min(axis=0)
         left = np.where(k < 2, np.inf, qx - (((k - 2) * root + row) * dx + x_lo))
         right = np.where(k + 2 > last, np.inf, ((k + 2) * root + row) * dx + x_lo - qx)
         below = np.where(pos0 < 2, np.inf, qy - (y_lo + (pos0 - 2) * h))
@@ -296,6 +307,12 @@ class _RowSweep:
         self._y_min = np.minimum.reduceat(self._y, self._starts[:-1])
         self._y_max = np.maximum.reduceat(self._y, self._starts[:-1])
         self._depth = int(np.diff(self._starts).max()).bit_length()
+
+    @property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """(x, starts, y_min, y_max), to read only: row i, bottom to top, holds x
+        ``x[starts[i]:starts[i + 1]]``, ascending, and y in ``[y_min[i], y_max[i]]``."""
+        return self._x[:-1], self._starts, self._y_min, self._y_max
 
     def sweep(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         best = np.full(len(qx), np.inf)
@@ -375,12 +392,18 @@ class _RowSweep:
 
 
 def build_codebook(config: CodebookConfig) -> Codebook:
-    """The config's points, indexed by row for encoding: the cached box-frame
-    points shifted into its box, as the decoder shifts them."""
-    points = cached_codebook(config.num_points, config.box_side, config.direction_mode)
-    points = points + (np.array(config.centroid) - config.box_side / 2.0)
-    points.setflags(write=False)
-    return Codebook(config, points)
+    """The config's codebook, indexed for encoding."""
+    return Codebook(config)
+
+
+def gather(frame: np.ndarray, lam, config: CodebookConfig) -> np.ndarray:
+    """Points ``lam`` of config's codebook, new: box-frame points ``frame[lam]``
+    plus ``centroid - l/2``. Encoder and decoder both shift only here."""
+    points = np.take(frame, lam, axis=0)
+    (cx, cy), half = config.centroid, config.box_side / 2.0
+    # One pass over the rows: a complex add adds the x and the y parts apart.
+    points.view(np.complex128)[...] += complex(cx - half, cy - half)
+    return points
 
 
 @lru_cache(maxsize=16)
@@ -404,22 +427,29 @@ def covering_radius(num_points: int, box_side: float, mode: DirectionMode) -> fl
     side, root = box_side, math.isqrt(num_points)
     if mode == DirectionMode.GRID_SHEAR:
         return math.sqrt(2) * side / root
-    rows = _RowSweep(cached_codebook(num_points, side, mode), 0.0, side / root)
-    x, first, last = rows._x[:-1], rows._starts[:-1], rows._starts[1:] - 1
+    x, starts, y_lo, y_hi = _RowSweep(cached_codebook(num_points, side, mode), 0.0,
+                                      side / root).rows
+    first, last = starts[:-1], starts[1:] - 1
     half_gaps = np.diff(x, append=side) / 2
     half_gaps[last] = side - x[last]  # from a row's last point to the box edge
     reach = np.maximum(np.maximum.reduceat(half_gaps, first), x[first])
-    y_lo, y_hi = rows._y_min, rows._y_max
     spans = np.r_[2 * y_hi[0], y_hi[1:] - y_lo[:-1], 2 * (side - y_lo[-1])]
     worse = np.maximum(np.r_[reach, reach[-1]], np.r_[reach[0], reach])
     return float(np.hypot(worse, spans / 2).max())
 
 
 @lru_cache(maxsize=16)
+def _x_extremes(num_points: int, box_side: float, mode: DirectionMode) -> tuple[int, int]:
+    """Indices of a least and a greatest x among the box-frame points, memoized like them."""
+    x = cached_codebook(num_points, box_side, mode)[:, 0]
+    return int(x.argmin()), int(x.argmax())
+
+
+@lru_cache(maxsize=16)
 def cached_codebook(num_points: int, box_side: float, mode: DirectionMode) -> np.ndarray:
     """The (num_points, 2) trajectory points in the box frame [0, l) x [0, l),
     ``np.mod(lam * a, l)``, float64, read-only and memoized: the encoder and
-    the decoder shift them by the layer's ``centroid - l/2``.
+    the decoder add the layer's ``centroid - l/2`` to the rows they gather.
 
     Points are computed once per (U, l, mode) and never per query, so an
     encoded file decodes identically on any platform.

@@ -26,6 +26,7 @@ from .codebook import (
     build_codebook,
     cached_codebook,
     covering_radius,
+    gather,
 )
 from .errors import ConsistencyError, DataError, FormatError
 
@@ -263,9 +264,7 @@ def _encode_thetas(points: np.ndarray, config: CodebookConfig, codebook: Codeboo
     return theta
 
 
-def _reference_thetas(
-    points: np.ndarray, config: CodebookConfig, codebook_points: np.ndarray
-) -> np.ndarray:
+def _reference_thetas(points: np.ndarray, config: CodebookConfig, codebook: Codebook) -> np.ndarray:
     """Per-group scalar arithmetic and an exhaustive scan, first minimum on ties.
 
     Must reproduce the block path's indices exactly.
@@ -273,7 +272,7 @@ def _reference_thetas(
     num_points = config.num_points
     box, radius, rings = config.box_side, config.max_radius, config.max_category
     cx, cy = config.centroid
-    pts = codebook_points.tolist()
+    pts = codebook.points.tolist()
     theta = np.empty(len(points), dtype=np.int64)
     for g, (px, py) in enumerate(points.tolist()):
         cat = categorize((px, py), (cx, cy), radius, box, rings)
@@ -322,10 +321,8 @@ def encode_layer(
                             params.direction_mode, centroid, max_radius)
     if len(points) == 0:
         return EncodedLayer(name, shape, config, 1, b"", 0.0)
-    if reference:
-        theta = _reference_thetas(points, config, build_codebook(config).points)
-    else:
-        theta = _encode_thetas(points, config, build_codebook(config))
+    lookup = _reference_thetas if reference else _encode_thetas
+    theta = lookup(points, config, build_codebook(config))
     del flat, points
     bit_width = max(1, int(theta.max()).bit_length())
     if bit_width > 32:
@@ -337,15 +334,11 @@ def encode_layer(
 
 def _restore(theta: np.ndarray, cfg: CodebookConfig) -> np.ndarray:
     """The (len(theta), 2) float64 pairs that stored codes theta decode to."""
-    half = cfg.box_side / 2.0
     scales = _scale_factors(theta // cfg.num_points, cfg)
-    points = cached_codebook(cfg.num_points, cfg.box_side, cfg.direction_mode)
-    restored = np.take(points, theta % cfg.num_points, axis=0)
-    # In place, column by column, the float operations of build_codebook and
-    # then (p - c) / scale + c.
-    for j, c in enumerate(cfg.centroid):
+    frame = cached_codebook(cfg.num_points, cfg.box_side, cfg.direction_mode)
+    restored = gather(frame, theta % cfg.num_points, cfg)
+    for j, c in enumerate(cfg.centroid):  # (p - c) / scale + c, in place
         col = restored[:, j]
-        col += c - half
         col -= c
         col /= scales
         col += c

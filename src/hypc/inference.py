@@ -11,6 +11,7 @@ everything first and then running the forward pass, regardless of scheduling.
 
 from __future__ import annotations
 
+import io
 import itertools
 import re
 import time
@@ -61,9 +62,13 @@ class MlpNetwork:
         _check_shapes([(layer.weight.shape, layer.bias.shape) for layer in self.layers],
                       ValueError)
 
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+
+def input_dim(net_or_model) -> int:
+    """Features per row that a network or compressed model takes (a model's
+    names and shapes are checked first, as DataError)."""
+    if isinstance(net_or_model, CompressedModel):
+        return _network_parts(net_or_model.layers)[0][0].shape[1]
+    return net_or_model.layers[0].weight.shape[1]
 
 
 def _apply_layer(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -83,7 +88,7 @@ def _as_batch(batch, width: int) -> np.ndarray:
 
 def mlp_forward(net: MlpNetwork, batch) -> np.ndarray:
     """Row-major float32 forward pass; deterministic evaluation order."""
-    x = _as_batch(batch, net.input_dim)
+    x = _as_batch(batch, input_dim(net))
     count = len(net.layers)
     for i, layer in enumerate(net.layers):
         x = _apply_layer(x, layer.weight, layer.bias, i < count - 1)
@@ -287,20 +292,22 @@ def load_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
         return np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64, comments=None)
 
     with open(path, encoding="utf-8") as f:
-        rows = data_rows(f)
+        # A bad row is looked for in a second pass, so a pipe is read whole first.
+        text = f if f.seekable() else io.StringIO(f.read())
+        rows = data_rows(text)
         first = next(rows, None)
         if first is None:
             raise DataError(f"{path}: no data rows")
         try:
             table = parse(itertools.chain([first], rows))
-        except ValueError:  # name the first row that does not parse after the first
-            with open(path, encoding="utf-8") as again:
-                for line in data_rows(again):
-                    try:
-                        parse([first, line])
-                    except ValueError:
-                        raise DataError(f"{path}: line {numbers[-1]}: not "
-                                        f"{first.count(',') + 1} numbers") from None
+        except ValueError:  # name the first row that does not parse next to the first
+            text.seek(0)
+            for line in data_rows(text):
+                try:
+                    parse([first, line])
+                except ValueError:
+                    raise DataError(f"{path}: line {numbers[-1]}: not "
+                                    f"{first.count(',') + 1} numbers") from None
             raise
     if table.shape[1] < 2:
         raise DataError("dataset CSV needs at least one feature column plus label")

@@ -369,6 +369,28 @@ class TestErrors:
         assert result.returncode == 1 and result.stdout == ""
         assert result.stderr.startswith("error: batch must be (n, 6)")
         assert result.stderr.strip().count("\n") == 0
+        # The message names the CSV and the model, in both arms.
+        assert result.stderr == (f"error: batch must be (n, 6), got (1, 3): {csv} has 3 "
+                                 f"feature columns, {hcmp} takes 6\n")
+        for model, flags in ((ntb, []), (hcmp, [])):
+            assert run(capsys, "infer", "--model", str(model), "--data", str(csv), *flags) == (
+                1, "", f"error: batch must be (n, 6), got (1, 3): {csv} has 3 feature "
+                f"columns, {model} takes 6\n")
+
+    def test_piped_csv_error_names_the_file_line(self, tmp_path, capsys):
+        # A pipe cannot be read twice: the row that does not parse is found
+        # among the lines already read. Line 4 holds two of three columns.
+        ntb = tmp_path / "m.ntb"
+        run(capsys, "gen", "--layers", "2,3,2", "--seed", "0", "--output", str(ntb))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-m", "hypc.cli", "infer", "--model", str(ntb),
+             "--data", "/dev/stdin"],
+            input="x1,x2,label\n0.1,0.2,0\n\n0.3,0.4\n0.5,0.6,1\n", env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: /dev/stdin: line 4: not 3 numbers\n"
 
     @pytest.mark.parametrize("flags", [[], ["--pipeline"]])
     @pytest.mark.parametrize("shapes, message", [
@@ -422,6 +444,7 @@ class TestErrors:
         # Rows numpy cannot parse: the file line, not numpy's row index.
         ("0.1,0.2,0\n\n0.3,0.4\n", "d.csv: line 4: not 3 numbers"),
         ("0.1,0.2,0\n0.3,abc,1\n", "d.csv: line 3: not 3 numbers"),
+        ("abc,0.2,0\n0.3,0.4,1\n", "d.csv: line 2: not 3 numbers"),
     ])
     def test_bad_dataset_rows_rejected(self, tmp_path, capsys, body, message):
         ntb = tmp_path / "m.ntb"

@@ -33,7 +33,7 @@ from hypc.codec import (
     scale_factor,
     unpack_bits,
 )
-from hypc import codec
+from hypc import codebook, codec
 from hypc.container import CompressedModel, dump_hcmp
 from hypc.errors import ConsistencyError, DataError, FormatError
 
@@ -552,6 +552,26 @@ class TestEncodeDecode:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20, peak
+
+    @pytest.mark.parametrize("mode", list(DirectionMode))
+    def test_small_layer_at_large_u_allocates_nothing_of_size_u(self, monkeypatch, mode):
+        # 40 weights at U = 2^20, after a warm-up that caches the box-frame
+        # points: a layer gathers the points it reads and shifts them into its
+        # box, so it copies none of the 16 MiB array. Measured peak 0.09 MiB,
+        # against 32.1 MiB when each layer shifted and transposed every point.
+        # These inputs reach no row sweep, which indexes all U points.
+        monkeypatch.setattr(codebook._RowSweep, "sweep", None)
+        params = EncodeParams(num_points=1 << 20, direction_mode=mode)
+        weights = np.random.default_rng(0).normal(size=40)
+        encode_layer(weights, "w", (40,), params)
+        for i in range(1, 8):
+            tracemalloc.start()
+            try:
+                encode_layer(weights + 0.1 * i, "w", (40,), params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (i, peak)
 
 
 class TestDecodeTheta:
