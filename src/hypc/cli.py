@@ -44,6 +44,9 @@ from .inference import (
 from .percolation import estimate_threshold, solve_p0
 
 _DIRECTIONS = {"grid": DirectionMode.GRID_SHEAR, "paper": DirectionMode.PAPER_EQ}
+# Largest model gen draws, checked before drawing: a model is held in memory
+# whole, so a larger one could ask for more memory than the host has.
+MAX_GEN_WEIGHTS = 1 << 27
 
 
 def _format_table(headers: list[str], rows: list[list]) -> str:
@@ -100,7 +103,12 @@ def _cmd_compress(args) -> int:
     overrides: dict = {}
     if args.per_layer:
         with open(args.per_layer, "r", encoding="utf-8") as f:
-            overrides = _json_object(json.load(f), "the file", ("default", "layers"))
+            try:
+                overrides = json.load(f)
+            except RecursionError:
+                raise DataError(f"--per-layer: {args.per_layer} nests deeper than the "
+                                "JSON reader's recursion limit") from None
+        overrides = _json_object(overrides, "the file", ("default", "layers"))
     base = _params_from_spec(overrides.get("default", {}), base, "default")
     layer_specs = _json_object(overrides.get("layers", {}), "layers",
                                [t.name for t in bundle.tensors])
@@ -174,6 +182,10 @@ def _cmd_gen(args) -> int:
     dims = [int(d) for d in args.layers.split(",") if d]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise DataError("--layers needs at least two positive dims, e.g. 4,32,2")
+    weights = sum(inp * out + out for inp, out in zip(dims, dims[1:]))
+    if weights > MAX_GEN_WEIGHTS:
+        raise DataError(f"--layers {args.layers} makes {weights} weights; gen draws at most "
+                        f"{MAX_GEN_WEIGHTS} (2^27, 512 MiB of float32)")
     rng = np.random.default_rng(args.seed)
     layers = []
     for inp, out in zip(dims, dims[1:]):  # each layer draws its weight, then its bias

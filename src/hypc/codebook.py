@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -142,6 +143,10 @@ class Codebook:
         # (lam * dy < (root + 2) * l) and the shift into the box each round.
         self._root = root
         self._dx, self._h = direction_vector(*key)
+        # Rounding multiplies by these. A candidate needs only to be a valid
+        # index, so a subnormal step's reciprocal is capped to stay finite.
+        self._inverse = (1 / max(self._dx, sys.float_info.min),
+                         1 / max(self._h, sys.float_info.min))
         corner = max(abs(c) for c in config.box)
         self._err = 4 * (root + 2) * math.ulp(config.box_side) + 4 * math.ulp(corner)
         margin = 4 * (root + 4) * self._err + 1e-9 * self._h
@@ -169,7 +174,7 @@ class Codebook:
         what it can, the stencil most of the rest, and the sweep what is left,
         wherever the query lies.
         """
-        queries = np.asarray(queries, dtype=np.float64)
+        queries = np.ascontiguousarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != 2:
             raise ValueError(f"queries must be (n, 2), got {queries.shape}")
         if not np.all(np.isfinite(queries)):
@@ -179,7 +184,7 @@ class Codebook:
         for lo in range(0, len(queries), _QUERY_BLOCK):
             block = slice(lo, lo + _QUERY_BLOCK)
             qx, qy = queries[block, 0], queries[block, 1]
-            idx[block], dsq[block], settled = self._round(qx, qy)
+            idx[block], dsq[block], settled = self._round(queries[block])
             rest = np.flatnonzero(~settled)
             if rest.size and self._root >= 3:
                 lam, near_dsq, ok = self._stencil(qx[rest], qy[rest])
@@ -189,8 +194,9 @@ class Codebook:
                 idx[lo + rest], dsq[lo + rest] = self._sweeper.sweep(qx[rest], qy[rest])
         return idx, np.sqrt(dsq, out=dsq)
 
-    def _round(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Round each query to a lattice point: (index, dsq, settled).
+    def _round(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Round each row of C-contiguous (n, 2) queries to a lattice point:
+        (index, dsq, settled).
 
         Each stored point lies within ``err`` per coordinate of the lattice
         {(x_lo + a*dx, y_lo + b*h): a = b mod root, 0 <= b <= root}, generated
@@ -209,26 +215,38 @@ class Codebook:
         1e-9*h covers the rounding of the scan's ``dx*dx + dy*dy`` and of the
         box test, which squares nothing. Where mu swamps pitch/2 (collapsed
         codebooks, boxes a few ulps wide) the box is empty. Unsettled queries
-        go to the stencil.
+        go to the stencil. The box test does not depend on how the candidate
+        was found, so rounding by reciprocal multiplies is as sound as by
+        divides.
         """
         root = self._root
         x_lo, x_hi, y_lo, y_hi = self.config.box
         # Clipped: a box a few ulps wide can round past position root.
-        at = np.rint((np.clip(qy, y_lo, y_hi) - y_lo) / self._h).astype(np.intp)
+        at = np.clip(queries[:, 1], y_lo, y_hi)
+        at -= y_lo
+        at *= self._inverse[1]
+        at = np.rint(at, out=at).astype(np.intp)
         row = np.take(self._rows[1], at, mode="clip")
-        k = np.rint(((np.clip(qx, x_lo, x_hi) - x_lo) / self._dx - row) / root)
-        np.clip(k, 0, np.take(self._last[1], at, mode="clip"), out=k)
-        lam = (k * root + row).astype(np.int64)
-        near = gather(self._frame, lam, self.config)
-        ddx = near[:, 0] - qx
-        ddy = near[:, 1] - qy
-        del near  # freed before the temporaries below
-        dsq = ddx * ddx + ddy * ddy
-        np.abs(ddx, out=ddx)
-        settled = ddx < self._box[0]
-        ddx *= self._dx / self._h
-        ddx += np.abs(ddy, out=ddy)
-        settled &= ddx < self._box[1]
+        k = np.clip(queries[:, 0], x_lo, x_hi)
+        k -= x_lo
+        k *= self._inverse[0]
+        k -= row
+        k *= 1 / root
+        np.rint(k, out=k)
+        np.maximum(k, 0, out=k)  # np.clip with an array bound takes three times as long
+        np.minimum(k, np.take(self._last[1], at, mode="clip"), out=k)
+        k *= root
+        k += row
+        lam = k.astype(np.int64)
+        diff = gather(self._frame, lam, self.config)
+        complex_rows(diff)[...] -= complex_rows(queries)
+        near = np.abs(diff, out=diff)  # |d_x|, |d_y|
+        settled = near[:, 0] < self._box[0]
+        slant = near[:, 0] * (self._dx / self._h)
+        slant += near[:, 1]
+        settled &= slant < self._box[1]
+        near *= near
+        dsq = np.add(near[:, 0], near[:, 1], out=slant)
         return lam, dsq, settled
 
     def _stencil(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,9 +419,15 @@ def gather(frame: np.ndarray, lam, config: CodebookConfig) -> np.ndarray:
     plus ``centroid - l/2``. Encoder and decoder both shift only here."""
     points = np.take(frame, lam, axis=0)
     (cx, cy), half = config.centroid, config.box_side / 2.0
-    # One pass over the rows: a complex add adds the x and the y parts apart.
-    points.view(np.complex128)[...] += complex(cx - half, cy - half)
+    complex_rows(points)[...] += complex(cx - half, cy - half)
     return points
+
+
+def complex_rows(pairs: np.ndarray) -> np.ndarray:
+    """The complex128 view of C-contiguous float64 (..., 2) pairs, one value per
+    row: a complex add or subtract is one pass over the rows that adds or
+    subtracts the x and the y parts apart, the same floats as two column passes."""
+    return pairs.view(np.complex128)[..., 0]
 
 
 @lru_cache(maxsize=16)

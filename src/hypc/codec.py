@@ -8,7 +8,10 @@ as a bit-packed integer stream. Decoding inverts every step exactly.
 The block path (per ``_QUERY_BLOCK`` pairs) and the per-group reference path
 produce bit-identical indices; the reference path is the speed ablation's slow arm.
 Float32 weights stay float32 and each block is converted on its own; every sum
-adds in the order of numpy's whole-array one.
+adds in the order of numpy's whole-array one. A block's pairs are centred and
+uncentred through their complex128 view (``complex_rows``): one pass adds or
+subtracts x and y apart, the floats of two column passes. pack_bits writes
+the slot layout unpack_bits reads, eight values to ``bit_width`` bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .codebook import (
     DirectionMode,
     build_codebook,
     cached_codebook,
+    complex_rows,
     covering_radius,
     gather,
 )
@@ -136,40 +140,44 @@ def _blocks(points: np.ndarray):
         yield lo, points[lo : lo + _QUERY_BLOCK].astype(np.float64)
 
 
-def _distances(points: np.ndarray, cx: float, cy: float) -> np.ndarray:
-    dx = points[:, 0] - cx
-    dy = points[:, 1] - cy
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
+def _squared_norms(centred: np.ndarray) -> np.ndarray:
+    """dx*dx + dy*dy of each (dx, dy) row."""
+    dsq = centred[:, 0] * centred[:, 0]
+    dsq += centred[:, 1] * centred[:, 1]
+    return dsq
 
 
 def _analyze(points: np.ndarray) -> tuple[tuple[float, float], float]:
     """Centroid and max_radius, a block at a time. The centroid is
-    points.mean(axis=0) bit for bit: numpy adds the rows in order, so each
-    block's first row carries the total before it. A DataError names the first
-    weight whose pair's squared distance to it overflows float64."""
+    points.mean(axis=0) bit for bit: numpy adds the rows in order, as
+    np.add.accumulate does along a block's complex view, and each block's first
+    row carries the total before it. max_radius is the square root of the
+    largest squared distance: sqrt is monotone and correctly rounded, so that
+    is the largest distance. A DataError names the first weight whose pair's
+    squared distance to the centroid overflows float64."""
     def total(scale):
         acc = np.zeros(2)
         for lo, block in _blocks(points):
-            block *= scale
+            if scale != 1.0:
+                block *= scale
             if lo:
                 block[0] += acc
-            acc = np.add.reduce(block, axis=0)
+            acc = np.add.accumulate(complex_rows(block))[-1:].view(np.float64)
         return acc
 
     centroid = tuple(map(float, _mean(len(points), total))) if len(points) else (0.0, 0.0)
-    radius = 0.0
+    largest = 0.0
     for lo, block in _blocks(points):
         with np.errstate(over="ignore", invalid="ignore"):
-            dists = _distances(block, *centroid)
-        bad = np.flatnonzero(~np.isfinite(dists))
-        if bad.size:
-            raise DataError(f"weight {2 * (lo + int(bad[0]))}: the squared distance of its "
+            complex_rows(block)[...] -= complex(*centroid)
+            dsq = _squared_norms(block)
+        top = float(dsq.max())
+        if not math.isfinite(top):  # finite inputs: an overflow shows as inf
+            at = lo + int(np.flatnonzero(~np.isfinite(dsq))[0])
+            raise DataError(f"weight {2 * at}: the squared distance of its "
                             f"pair to centroid {centroid} overflows float64")
-        radius = max(radius, float(dists.max()))
-    return centroid, radius
+        largest = max(largest, top)
+    return centroid, math.sqrt(largest)
 
 
 def _categorize_distances(
@@ -250,15 +258,19 @@ def _encode_thetas(points: np.ndarray, config: CodebookConfig, codebook: Codeboo
     given the centroid and max_radius, so blocks give one pass's floats. Codes
     are held in the narrowest unsigned type."""
     theta = np.empty(len(points), dtype=np.min_scalar_type(config.theta_bound - 1))
+    ring_scales = _scale_factors(np.arange(config.max_category + 1), config)
+    centroid = complex(*config.centroid)
     for lo, block in _blocks(points):
-        cats = _categorize_distances(_distances(block, *config.centroid), config.box_side,
-                                     config.max_radius, config.max_category)
-        scales = _scale_factors(cats, config)
-        for j, c in enumerate(config.centroid):  # (p - c) * scale + c, in place
-            col = block[:, j]
-            col -= c
-            col *= scales
-            col += c
+        centred = complex_rows(block)
+        centred -= centroid  # (p - c) * scale + c, in place
+        dists = np.sqrt(_squared_norms(block))
+        cats = _categorize_distances(dists, config.box_side, config.max_radius,
+                                     config.max_category)
+        scales = np.take(ring_scales, cats)
+        block[:, 0] *= scales
+        block[:, 1] *= scales
+        centred += centroid
+        del dists, scales  # freed before the lookup's temporaries
         lam, _ = codebook.nearest_many(block)
         theta[lo : lo + len(block)] = cats * config.num_points + lam
     return theta
@@ -334,14 +346,18 @@ def encode_layer(
 
 def _restore(theta: np.ndarray, cfg: CodebookConfig) -> np.ndarray:
     """The (len(theta), 2) float64 pairs that stored codes theta decode to."""
-    scales = _scale_factors(theta // cfg.num_points, cfg)
+    rings, lam = np.divmod(theta, cfg.num_points)
+    scales = np.take(_scale_factors(np.arange(cfg.max_category + 1), cfg), rings)
+    del rings
     frame = cached_codebook(cfg.num_points, cfg.box_side, cfg.direction_mode)
-    restored = gather(frame, theta % cfg.num_points, cfg)
-    for j, c in enumerate(cfg.centroid):  # (p - c) / scale + c, in place
-        col = restored[:, j]
-        col -= c
-        col /= scales
-        col += c
+    restored = gather(frame, lam, cfg)
+    del lam
+    centred = complex_rows(restored)
+    centroid = complex(*cfg.centroid)
+    centred -= centroid  # (p - c) / scale + c, in place
+    restored[:, 0] /= scales
+    restored[:, 1] /= scales
+    centred += centroid
     return restored
 
 
@@ -399,19 +415,28 @@ def pack_bits(values, bit_width: int) -> bytes:
     hi = int(arr.max())
     if lo < 0 or hi >= (1 << bit_width):
         raise ValueError(f"value {lo if lo < 0 else hi} does not fit in {bit_width} bits")
-    # Shifted by its offset in 32-bit word bitpos >> 5, a value spans at most 63
-    # bits; values never share a bit, so the float64 sums over words are exact ORs.
-    # A block of _QUERY_BLOCK values (a multiple of 32) ends on a word: its zero
-    # spill word past the end is the next block's first, which overwrites it.
-    words = np.empty(((arr.size - 1) * bit_width >> 5) + 2, dtype="<u4")
+    # The layout unpack_bits reads: eight values fill bit_width bytes, value j
+    # of a slot at bit j * bit_width. A block of _QUERY_BLOCK values (a multiple
+    # of 8) is ORed slot by slot into 64-bit words, value j shifted by its
+    # offset in word (j * bit_width) >> 6, its spill in the next word; each
+    # slot's first bit_width bytes are its bytes.
+    need = (arr.size * bit_width + 7) // 8
+    out = np.empty((arr.size + 7) // 8 * bit_width, dtype=np.uint8)
     for first in range(0, arr.size, _QUERY_BLOCK):
-        block = arr[first : first + _QUERY_BLOCK].astype(np.int64, copy=False)
-        bitpos = np.arange(block.size, dtype=np.int64) * bit_width
-        shifted = block << (bitpos & 31)
-        part = np.bincount((bitpos >> 5) + 1, weights=shifted >> 32)
-        part[:-1] += np.bincount(bitpos >> 5, weights=shifted & 0xFFFFFFFF)
-        words[first * bit_width >> 5 :][: part.size] = part
-    return words.view(np.uint8)[: (arr.size * bit_width + 7) // 8].tobytes()
+        block = arr[first : first + _QUERY_BLOCK]
+        vals = np.zeros((block.size + 7) // 8 * 8, dtype=np.uint64)
+        vals[: block.size] = block
+        vals = vals.reshape(-1, 8)
+        words = np.zeros((len(vals), bit_width // 8 + 2), dtype="<u8")
+        for j in range(8):
+            word, shift = divmod(j * bit_width, 64)
+            words[:, word] |= vals[:, j] << np.uint64(shift)
+            if shift + bit_width > 64:
+                words[:, word + 1] |= vals[:, j] >> np.uint64(64 - shift)
+        at = first // 8 * bit_width
+        out[at : at + len(words) * bit_width].reshape(-1, bit_width)[...] = (
+            words.view(np.uint8)[:, :bit_width])
+    return out[:need].tobytes()
 
 
 def unpack_bits(data: bytes, bit_width: int, count: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hypc import inference
+from hypc import cli, inference
 from hypc.cli import build_parser, main
 from hypc.codebook import Codebook, DirectionMode, _RowSweep
 from hypc.codec import EncodeParams, encode_layer
@@ -481,6 +481,33 @@ class TestErrors:
                            "--output", str(tmp_path / "o.hcmp"),
                            "--per-layer", str(overrides))
         assert code == 1 and "direction" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"default": ' + "[" * 5000 + "]" * 5000 + "}",
+        "[" * 5000 + "]" * 5000,
+    ], ids=["under-default", "at-the-top"])
+    def test_deeply_nested_overrides_are_one_error_line(self, tmp_path, capsys, text):
+        # The JSON reader recurses once per level and gave up with a
+        # RecursionError traceback.
+        ntb = tmp_path / "m.ntb"
+        target = tmp_path / "o.hcmp"
+        spec = tmp_path / "p.json"
+        run(capsys, "gen", "--layers", "4,2", "--seed", "0", "--output", str(ntb))
+        spec.write_text(text)
+        assert run(capsys, "compress", "--input", str(ntb), "--output", str(target),
+                   "--per-layer", str(spec)) == (
+            1, "", f"error: --per-layer: {spec} nests deeper than the JSON reader's "
+            "recursion limit\n")
+        assert not target.exists()
+
+    def test_oversized_gen_model_is_refused_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # 10^10 weights asked numpy for 37.3 GiB and failed with a traceback.
+        monkeypatch.setattr(cli.np.random, "default_rng", None)  # nothing is drawn
+        target = tmp_path / "m.ntb"
+        assert run(capsys, "gen", "--layers", "100000,100000", "--output", str(target)) == (
+            1, "", "error: --layers 100000,100000 makes 10000100000 weights; gen draws at "
+            "most 134217728 (2^27, 512 MiB of float32)\n")
+        assert not target.exists()
 
 
 # Runs in a fresh interpreter, so the modules it finds loaded are the ones

@@ -326,7 +326,7 @@ class TestNearest:
         radius = 0.05 * np.sqrt(rng.uniform(size=20_000))
         angle = rng.uniform(0, 2 * np.pi, size=20_000)
         qx, qy = radius * np.cos(angle), radius * np.sin(angle)
-        lam, dsq, settled = cb._round(qx, qy)
+        lam, dsq, settled = cb._round(np.stack([qx, qy], 1))
         assert settled.mean() >= 0.7
         queries = np.stack([qx, qy], 1)[settled]
         assert (lam[settled] == exhaustive_argmin(cb.points, queries)).all()
@@ -340,7 +340,7 @@ class TestNearest:
         rng = np.random.default_rng(5)
         radius = 0.05 * np.sqrt(rng.uniform(size=20_000))
         angle = rng.uniform(0, 2 * np.pi, size=20_000)
-        _, _, settled = cb._round(radius * np.cos(angle), radius * np.sin(angle))
+        _, _, settled = cb._round(np.stack([radius * np.cos(angle), radius * np.sin(angle)], 1))
         assert settled.mean() >= 0.95
 
     @pytest.mark.parametrize("u", [1, 2, 3, 4, 9, 10, 15, 16, 200, 225, 361, 1000, 2047,
@@ -383,7 +383,7 @@ class TestNearest:
             d = np.vstack([np.stack(kind, 1) for kind in kinds])
             d *= rng.choice([-1.0, 1.0], size=d.shape)
             queries = cb.points[rng.integers(0, u, len(d))] + d
-            lam, dsq, settled = cb._round(queries[:, 0], queries[:, 1])
+            lam, dsq, settled = cb._round(queries)
             assert settles is None or settled.any() == settles, (centroid, side)
             queries = queries[settled]
             assert (lam[settled] == exhaustive_argmin(cb.points, queries)).all(), (centroid, side)
@@ -435,7 +435,7 @@ class TestNearest:
         radius = 0.05 * np.sqrt(rng.uniform(size=20_000))
         angle = rng.uniform(0, 2 * np.pi, size=20_000)
         qx, qy = radius * np.cos(angle), radius * np.sin(angle)
-        _, _, rounded = cb._round(qx, qy)
+        _, _, rounded = cb._round(np.stack([qx, qy], 1))
         rest = np.flatnonzero(~rounded)
         lam, dsq, settled = cb._stencil(qx[rest], qy[rest])
         assert rounded.sum() + settled.sum() >= 0.99 * len(qx)

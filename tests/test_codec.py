@@ -37,6 +37,7 @@ from hypc import codebook, codec
 from hypc.container import CompressedModel, dump_hcmp
 from hypc.errors import ConsistencyError, DataError, FormatError
 
+import codec_digest
 import hcmp_v1_spec
 from roundtrip_bounds import pair_errors, rounding_terms, stored_rings
 
@@ -178,7 +179,7 @@ class TestCategorize:
         assert _categorize_distances(np.array([d]), 0.1, 0.4, 2).tolist() == [2]
 
     def test_scale_plan_names_the_distance_beyond_the_rings(self):
-        dists = codec._distances(np.array([[0.01, 0.0], [0.0, 1.25], [0.3, 0.0]]), 0.0, 0.0)
+        dists = np.array([0.01, 1.25, 0.3])
         with pytest.raises(ConsistencyError, match=r"distance 1\.25 exceeds outermost ring"):
             _categorize_distances(dists, 0.1, 0.4, 2)
 
@@ -304,6 +305,13 @@ def matrix_unpack(data: bytes, bit_width: int, count: int) -> np.ndarray:
     return vals.astype(np.int64)
 
 
+def plain_pack(values, bit_width: int) -> bytes:
+    """LSB-first packing written out: bit b of value i is bit i * bit_width + b
+    of one little-endian integer, here spelled MSB first as a binary string."""
+    bits = "".join(format(int(v), f"0{bit_width}b") for v in reversed(values))
+    return int(bits or "0", 2).to_bytes((len(values) * bit_width + 7) // 8, "little")
+
+
 class TestPackBitsOracle:
     LENGTHS = (1, 7, 8, 9, 63, 64, 65, 4097)
     # pack_bits works in blocks of 2^15 values: these lengths put values on
@@ -323,6 +331,24 @@ class TestPackBitsOracle:
                 assert unpacked.dtype == np.int64
                 assert np.array_equal(unpacked, values), count
                 assert np.array_equal(unpacked, matrix_unpack(data, width, count))
+
+    @pytest.mark.parametrize("width", range(1, 33))
+    def test_matches_a_plain_lsb_first_packer(self, width):
+        # A fault shared by pack_bits and unpack_bits passes every round trip;
+        # this compares the bytes with a packer that shares no code with them.
+        # Lengths straddle a slot of eight values and a block of _QUERY_BLOCK,
+        # with odd tails; each input type that holds the width is tried.
+        rng = np.random.default_rng([width, 28])
+        top = (1 << width) - 1
+        dtypes = [d for d in (np.uint8, np.uint16, np.uint32, np.int64)
+                  if top <= np.iinfo(d).max]
+        block = codec._QUERY_BLOCK
+        for count in (1, 7, 8, 9, 13, 8 * 37 + 5, block - 1, block + 1):
+            small = count < 1000
+            for values in [rng.integers(0, top + 1, size=count)] + small * [np.full(count, top)]:
+                for d in dtypes if small else dtypes[count % len(dtypes):][:1]:
+                    assert pack_bits(values.astype(d), width) == plain_pack(values, width), (
+                        count, d)
 
     @pytest.mark.parametrize("width,count", [(1, 8), (3, 8), (8, 5), (20, 2), (32, 3), (12, 66)])
     def test_payload_ending_on_its_last_bit(self, width, count):
@@ -793,6 +819,19 @@ class TestPinnedBytes:
             "0bb262c5934bee35afce3f6ae40c39738406ccf2cde8ad3ef43523c6652bf588")
         assert decoded.hexdigest() == (
             "9d4aed46091a729c2a36c5491b3758e07472d9470959bcb6af20f1b7bb1da4c2")
+
+    def test_codec_digest_is_pinned(self, tmp_path):
+        # encode_layer and decode_layer bytes over 1,188 configs, hashed in
+        # their own process (see codec_digest.py): a change that keeps every
+        # output byte keeps this digest.
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1")
+        result = subprocess.run(
+            [sys.executable, "-W", "error", str(Path(__file__).with_name("codec_digest.py"))],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.startswith(f"1188 cases, digest {codec_digest.PINNED}, ")
 
 
 class TestRingErrorBounds:
