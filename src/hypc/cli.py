@@ -178,6 +178,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _seed(args) -> int:
+    """--seed, refused below 0 in the words perc estimate uses."""
+    if args.seed < 0:
+        raise DataError(f"seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _cmd_gen(args) -> int:
     dims = [int(d) for d in args.layers.split(",") if d]
     if len(dims) < 2 or any(d < 1 for d in dims):
@@ -186,7 +193,7 @@ def _cmd_gen(args) -> int:
     if weights > MAX_GEN_WEIGHTS:
         raise DataError(f"--layers {args.layers} makes {weights} weights; gen draws at most "
                         f"{MAX_GEN_WEIGHTS} (2^27, 512 MiB of float32)")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args))
     layers = []
     for inp, out in zip(dims, dims[1:]):  # each layer draws its weight, then its bias
         weight = rng.random((out, inp), dtype=np.float32) - np.float32(0.5)
@@ -200,7 +207,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
-    net = train_toy(args.seed)
+    net = train_toy(_seed(args))
     write_ntb(network_to_bundle(net), args.output)
     ds = make_toy_dataset(args.seed)
     if args.dump_data:

@@ -5,10 +5,11 @@ centroid, classify points into distance rings, shrink each ring onto the box,
 snap to the nearest codebook point, and store ``ring * num_points + index``
 as a bit-packed integer stream. Decoding inverts every step exactly.
 
-The block path (per ``_QUERY_BLOCK`` pairs) and the per-group reference path
-produce bit-identical indices; the reference path is the speed ablation's slow arm.
-Float32 weights stay float32 and each block is converted on its own; every sum
-adds in the order of numpy's whole-array one. A block's pairs are centred and
+Every pass runs a block of ``_QUERY_BLOCK`` pairs at a time and gives the
+floats of one pass over the whole layer. The codes equal those of an encoder
+that takes each formula plainly (``tests/reference_encoder.py``). Float32
+weights stay float32 and each block is converted on its own; every sum adds in
+the order of numpy's whole-array one. A block's pairs are centred and
 uncentred through their complex128 view (``complex_rows``): one pass adds or
 subtracts x and y apart, the floats of two column passes. pack_bits writes
 the slot layout unpack_bits reads, eight values to ``bit_width`` bytes.
@@ -37,6 +38,14 @@ from .errors import ConsistencyError, DataError, FormatError
 # Slack for points that sit on the outermost ring boundary up to rounding.
 _OVER_RTOL = 1e-9
 _SUM_LEAF = 1 << 16  # most terms _tree_sum hands to one np.add.reduce
+# Smallest box side encode_layer takes. The lookup picks the least computed
+# dx*dx + dy*dy, and a square below 2^-1022 (subnormal) may be off by 2^-1075
+# rather than by 2^-53 of itself. The covering radius B is at least
+# l / (2 * isqrt(U)) >= l / 2^11, half paper mode's row spacing, so at
+# l >= 2^-498.5 (8.6e-151) B^2 >= 2^-1019: the errors of one comparison stay
+# below 2^-53 * B^2 and the picked point lies within B * (1 + 3 * 2^-53).
+# At l = 1e-200 pairs decoded up to 9.9 times past their ring bound.
+MIN_BOX_SIDE = 1e-150
 
 
 @dataclass(frozen=True)
@@ -210,39 +219,9 @@ def _categorize_distances(
     return cats
 
 
-def categorize(point, centroid, max_radius: float, box_side: float, max_category: int) -> int:
-    """Ring index of a single pair: the scalar twin of _categorize_distances."""
-    dx = float(point[0]) - float(centroid[0])
-    dy = float(point[1]) - float(centroid[1])
-    d = math.sqrt(dx * dx + dy * dy)
-    half = box_side / 2.0
-    if d <= half:
-        return 0
-    if max_category:
-        step = max_radius / max_category
-        for m in range(1, max_category + 1):
-            if d <= half + step * m:
-                return m
-    outer = half + max_radius if max_category else half
-    if d > outer * (1.0 + _OVER_RTOL):
-        raise ConsistencyError(f"distance {d} exceeds outermost ring {outer}")
-    return max_category
-
-
 def _scale_factors(categories: np.ndarray, cfg: CodebookConfig) -> np.ndarray:
     half = cfg.box_side / 2.0
     return half / (half + cfg.max_radius / max(cfg.max_category, 1) * categories)
-
-
-def scale_factor(category: int, box_side: float, max_radius: float, max_category: int) -> float:
-    """Shrink factor for one ring: 1 inside the box, then decreasing ring by ring."""
-    if category < 0 or category > max_category:
-        raise ValueError(f"category {category} outside [0, {max_category}]")
-    if category == 0:
-        return 1.0
-    half = box_side / 2.0
-    step = max_radius / max_category
-    return float(half / (half + step * category))
 
 
 def ring_error_bounds(config: CodebookConfig) -> np.ndarray:
@@ -276,53 +255,26 @@ def _encode_thetas(points: np.ndarray, config: CodebookConfig, codebook: Codeboo
     return theta
 
 
-def _reference_thetas(points: np.ndarray, config: CodebookConfig, codebook: Codebook) -> np.ndarray:
-    """Per-group scalar arithmetic and an exhaustive scan, first minimum on ties.
-
-    Must reproduce the block path's indices exactly.
-    """
-    num_points = config.num_points
-    box, radius, rings = config.box_side, config.max_radius, config.max_category
-    cx, cy = config.centroid
-    pts = codebook.points.tolist()
-    theta = np.empty(len(points), dtype=np.int64)
-    for g, (px, py) in enumerate(points.tolist()):
-        cat = categorize((px, py), (cx, cy), radius, box, rings)
-        s = scale_factor(cat, box, radius, rings)
-        ox = (px - cx) * s + cx
-        oy = (py - cy) * s + cy
-        best = 0
-        best_dsq = math.inf
-        for j, (qx, qy) in enumerate(pts):
-            dx = ox - qx
-            dy = oy - qy
-            dsq = dx * dx + dy * dy
-            if dsq < best_dsq:
-                best = j
-                best_dsq = dsq
-        theta[g] = cat * num_points + best
-    return theta
-
-
 def encode_layer(
     weights,
     name: str,
     shape,
     params: EncodeParams = EncodeParams(),
-    *,
-    reference: bool = False,
 ) -> EncodedLayer:
     """Compress one tensor into an EncodedLayer.
 
     Passes over blocks of ``_QUERY_BLOCK`` pairs, in float64, find the centroid,
     then max_radius, then each block's ring plan, rescale and lookup; packing
-    is blocked too. ``reference=True`` swaps the block arithmetic and lattice
-    lookup for the per-group scalar path with an exhaustive scan; both return
-    byte-identical payloads. Ring m's pairs decode within ring_error_bounds[m]
-    up to rounding. A pair farther than about 1.3e154 (sqrt of the float64
-    max) from the centroid raises DataError: its squared distance overflows.
-    So does a code wider than HCMP's 32 bits: codes run below (M + 1) * U <= 2^36.
+    is blocked too. The codes equal an exhaustive scan's, smallest index on
+    ties. Ring m's pairs decode within ring_error_bounds[m] up to rounding.
+    DataError refuses a box side below MIN_BOX_SIDE, a pair farther than about
+    1.3e154 (sqrt of the float64 max) from the centroid, whose squared distance
+    overflows, and a code wider than HCMP's 32 bits: codes run below
+    (M + 1) * U <= 2^36.
     """
+    if 0 < params.box_side < MIN_BOX_SIDE:
+        raise DataError(f"layer {name!r}: box side {params.box_side} is below the floor "
+                        f"{MIN_BOX_SIDE}, where the lookup's squared distances underflow")
     shape = tuple(int(s) for s in shape)
     flat = np.asarray(weights)
     if math.prod(shape) != flat.size:
@@ -333,8 +285,7 @@ def encode_layer(
                             params.direction_mode, centroid, max_radius)
     if len(points) == 0:
         return EncodedLayer(name, shape, config, 1, b"", 0.0)
-    lookup = _reference_thetas if reference else _encode_thetas
-    theta = lookup(points, config, build_codebook(config))
+    theta = _encode_thetas(points, config, build_codebook(config))
     del flat, points
     bit_width = max(1, int(theta.max()).bit_length())
     if bit_width > 32:

@@ -38,6 +38,8 @@ from hypc.inference import (
 )
 from hypc.percolation import estimate_threshold, solve_p0
 
+import reference_encoder
+
 GRID = DirectionMode.GRID_SHEAR
 MAIN_PARAMS = EncodeParams(box_side=0.1, num_points=225, max_category=3,
                            direction_mode=GRID)
@@ -261,7 +263,8 @@ def test_c12_acceleration_ablation():
     fast = encode_layer(weights, "big", shape, MAIN_PARAMS)
     fast_s = time.perf_counter() - start
     start = time.perf_counter()
-    slow = encode_layer(weights, "big", shape, MAIN_PARAMS, reference=True)
+    slow = reference_encoder.encode(weights, MAIN_PARAMS.box_side, MAIN_PARAMS.num_points,
+                                    MAIN_PARAMS.max_category, MAIN_PARAMS.direction_mode)
     slow_s = time.perf_counter() - start
     speedup = slow_s / fast_s
     ok = fast.payload == slow.payload and speedup >= 10.0

@@ -509,6 +509,25 @@ class TestErrors:
             "most 134217728 (2^27, 512 MiB of float32)\n")
         assert not target.exists()
 
+    @pytest.mark.parametrize("command", [["gen", "--layers", "4,2"], ["train-toy"]])
+    def test_negative_seed_is_named(self, tmp_path, capsys, command):
+        # numpy's own refusal, "expected non-negative integer", named no flag.
+        target = tmp_path / "m.ntb"
+        assert run(capsys, *command, "--seed", "-1", "--output", str(target)) == (
+            1, "", "error: seed must be >= 0, got -1\n")
+        assert not target.exists()
+
+    def test_box_side_below_the_floor_is_one_error_line(self, tmp_path, capsys):
+        # At l = 1e-200 squared distances underflow, and pairs decoded up to
+        # 9.9 times past their ring bound.
+        ntb, target = tmp_path / "m.ntb", tmp_path / "o.hcmp"
+        run(capsys, "gen", "--layers", "4,2", "--seed", "0", "--output", str(ntb))
+        assert run(capsys, "compress", "--input", str(ntb), "--output", str(target),
+                   "--l", "1e-200") == (
+            1, "", "error: layer 'layer0.weight': box side 1e-200 is below the floor "
+            "1e-150, where the lookup's squared distances underflow\n")
+        assert not target.exists()
+
 
 # Runs in a fresh interpreter, so the modules it finds loaded are the ones
 # hypc itself imported.
@@ -567,19 +586,23 @@ class TestImports:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
 
-    def test_reference_encode_loads_no_scipy(self):
-        # The reference arm scans the points exhaustively.
-        probe = textwrap.dedent("""
+    def test_reference_encoder_loads_no_hypc_or_scipy(self):
+        # The reference encoder checks what hypc encodes, so it takes nothing
+        # from hypc; hypc stays importable here, so an import would show.
+        weights = [0.1, -0.2, 0.3, 0.05, 0.7]
+        probe = textwrap.dedent(f"""
             import sys
-            from hypc.codec import encode_layer
-            encode_layer([0.1, -0.2, 0.3, 0.05, 0.7], "w", (5,), reference=True)
-            loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+            import reference_encoder
+            enc = reference_encoder.encode({weights!r}, 0.1, 225, 3, 0)
+            loaded = [m for m in sys.modules if m.split(".")[0] in ("hypc", "scipy")]
             assert not loaded, loaded
+            print(enc.payload.hex())
         """)
-        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == encode_layer(weights, "w", (5,)).payload.hex()
 
     # Importing one module loads only what it needs: the package itself
     # imports nothing, so every name comes from the module that defines it.

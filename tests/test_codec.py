@@ -23,14 +23,13 @@ from hypc.codebook import (
 from hypc.codec import (
     EncodeParams,
     EncodedLayer,
+    MIN_BOX_SIDE,
     _categorize_distances,
-    categorize,
     decode_layer,
     encode_layer,
     group_pairs,
     pack_bits,
     ring_error_bounds,
-    scale_factor,
     unpack_bits,
 )
 from hypc import codebook, codec
@@ -39,6 +38,7 @@ from hypc.errors import ConsistencyError, DataError, FormatError
 
 import codec_digest
 import hcmp_v1_spec
+import reference_encoder
 from roundtrip_bounds import pair_errors, rounding_terms, stored_rings
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,6 +50,16 @@ def roundtrip_bounds(weights, params=PARAMS):
     """Per-weight error bounds: the ring bound of its pair's stored code."""
     enc = encode_layer(weights, "w", (len(np.ravel(weights)),), params)
     return np.repeat(ring_error_bounds(enc.config)[stored_rings(enc)], 2)[: enc.element_count]
+
+
+def oracle_layer(weights, params=PARAMS):
+    """The reference encoder's encoding of weights, as an EncodedLayer."""
+    flat = np.ravel(weights)
+    enc = reference_encoder.encode(flat, params.box_side, params.num_points,
+                                   params.max_category, params.direction_mode)
+    config = CodebookConfig(params.box_side, params.num_points, params.max_category,
+                            params.direction_mode, enc.centroid, enc.max_radius)
+    return EncodedLayer("w", (flat.size,), config, enc.bit_width, enc.payload, enc.pad_value)
 
 
 def box_queries(cfg: CodebookConfig, points: np.ndarray, rng) -> np.ndarray:
@@ -118,19 +128,10 @@ class TestAnalyze:
 
     @staticmethod
     def one_array(weights):
-        """Pad, centroid and max_radius from whole float64 arrays, as encode_layer
-        took them before it worked block by block: the oracle."""
-        flat = np.asarray(weights, dtype=np.float64)
-        pad = 0.0
-        if flat.size % 2:
-            prefix, lone = flat[:-1].reshape(-1, 2), flat[-1]
-            pad = float(np.vstack([prefix, [[lone, lone]]])[:, 0].mean())
-            flat = np.append(flat, pad)
-        points = flat.reshape(-1, 2)
-        center = points.mean(axis=0)
-        dx, dy = points[:, 0] - center[0], points[:, 1] - center[1]
-        dists = np.sqrt(dx * dx + dy * dy)
-        return pad, (float(center[0]), float(center[1])), float(dists.max())
+        """Pad, centroid and max_radius from whole float64 arrays, as the
+        reference encoder takes them."""
+        points, pad = reference_encoder.pairs(weights)
+        return (pad, *reference_encoder.centroid_and_radius(points))
 
     @pytest.mark.parametrize("pairs", [1, 7, 8, 9, 127, 128, 129, 2**15 - 1, 2**15,
                                        2**15 + 1, 2**16 + 1, 2**16 + 7, 2 * 2**16 + 7, 422_500])
@@ -155,28 +156,43 @@ class TestAnalyze:
             assert (pad, *codec._analyze(points)) == self.one_array(weights)
 
 
+def ring_of(d, box_side, max_radius, max_category):
+    """The ring of distance d, the same from the reference encoder's scalar
+    plan and the codec's vectorized one."""
+    ring = reference_encoder.ring(d, box_side, max_radius, max_category)
+    assert _categorize_distances(np.array([d]), box_side, max_radius,
+                                 max_category).tolist() == [ring]
+    return ring
+
+
+def refuse_ring(d, box_side, max_radius, max_category, match):
+    """Both ring plans refuse distance d with a message matching match."""
+    with pytest.raises(ValueError, match=match):
+        reference_encoder.ring(d, box_side, max_radius, max_category)
+    with pytest.raises(ConsistencyError, match=match):
+        _categorize_distances(np.array([d]), box_side, max_radius, max_category)
+
+
 class TestCategorize:
     def test_inside_box(self):
-        assert categorize((0.03, 0.0), (0.0, 0.0), 0.4, 0.1, 3) == 0
+        assert ring_of(0.03, 0.1, 0.4, 3) == 0
 
     def test_first_ring(self):
         # d = 0.2 with l=0.1, l_f=0.4, M=2: smallest m with 0.2 <= 0.05 + 0.2 m
-        assert categorize((0.2, 0.0), (0.0, 0.0), 0.4, 0.1, 2) == 1
+        assert ring_of(0.2, 0.1, 0.4, 2) == 1
 
     def test_outermost_ring(self):
-        assert categorize((0.4, 0.0), (0.0, 0.0), 0.4, 0.1, 2) == 2
+        assert ring_of(0.4, 0.1, 0.4, 2) == 2
 
     def test_beyond_rings_rejected(self):
-        with pytest.raises(ConsistencyError):
-            categorize((0.5, 0.0), (0.0, 0.0), 0.4, 0.1, 2)
+        refuse_ring(0.5, 0.1, 0.4, 2, r"distance 0\.5 exceeds outermost ring")
 
     def test_within_slack_past_the_outermost_ring(self):
         # Just past half + max_radius = 0.45 but within the relative slack:
-        # rounding, not data, put it there, so both paths give the last ring.
+        # rounding, not data, put it there, so both plans give the last ring.
         d = 0.45 * (1 + 5e-10)
         assert d > 0.05 + 0.2 * 2
-        assert categorize((d, 0.0), (0.0, 0.0), 0.4, 0.1, 2) == 2
-        assert _categorize_distances(np.array([d]), 0.1, 0.4, 2).tolist() == [2]
+        assert ring_of(d, 0.1, 0.4, 2) == 2
 
     def test_scale_plan_names_the_distance_beyond_the_rings(self):
         dists = np.array([0.01, 1.25, 0.3])
@@ -185,24 +201,30 @@ class TestCategorize:
 
     def test_no_rings_requires_box_fit(self):
         # M = 0 is one band out to l/2, whatever max_radius says.
-        assert categorize((0.04, 0.0), (0.0, 0.0), 0.0, 0.1, 0) == 0
-        with pytest.raises(ConsistencyError):
-            categorize((0.06, 0.0), (0.0, 0.0), 0.0, 0.1, 0)
+        assert ring_of(0.04, 0.1, 0.0, 0) == 0
+        refuse_ring(0.06, 0.1, 0.0, 0, r"distance 0\.06 exceeds outermost ring 0\.05")
         for max_radius in (0.0, 0.3):
             inside = np.array([0.0, 0.03, 0.05, 0.05 * (1 + 5e-10)])
             assert _categorize_distances(inside, 0.1, max_radius, 0).tolist() == [0] * 4
+            assert [ring_of(d, 0.1, max_radius, 0) for d in inside] == [0] * 4
             with pytest.raises(ConsistencyError, match=r"distance 0\.06 exceeds outermost ring 0\.05"):
                 _categorize_distances(np.array([0.01, 0.06, 0.02]), 0.1, max_radius, 0)
 
     @pytest.mark.parametrize("reference", [False, True])
     def test_no_rings_slack_scales_with_the_box(self, reference):
         # At l = 1e-14 a pair 2.5e-13 out is 50 half-sides past the box; it
-        # would decode 260 times beyond its ring bound, so both paths refuse it.
+        # would decode 260 times beyond its ring bound, so the codec
+        # (reference=False) and the reference encoder both refuse it.
         params = EncodeParams(box_side=1e-14, max_category=0)
-        with pytest.raises(ConsistencyError, match=r"distance 2\.5e-13 exceeds outermost ring 5e-15"):
-            encode_layer([0, 0, 5e-13, 0], "w", (4,), params, reference=reference)
-        with pytest.raises(ConsistencyError, match=r"distance 2\.5e-13"):
-            categorize((5e-13, 0.0), (2.5e-13, 0.0), 2.5e-13, 1e-14, 0)
+        weights = [0, 0, 5e-13, 0]
+        message = r"distance 2\.5e-13 exceeds outermost ring 5e-15"
+        if reference:
+            with pytest.raises(ValueError, match=message):
+                oracle_layer(weights, params)
+        else:
+            with pytest.raises(ConsistencyError, match=message):
+                encode_layer(weights, "w", (4,), params)
+        refuse_ring(2.5e-13, 1e-14, 2.5e-13, 0, r"distance 2\.5e-13")
 
     @pytest.mark.parametrize("max_radius", [0.0, 1e-300, 1e30])
     @pytest.mark.parametrize("m", [1, 3, 15, 65535])
@@ -224,27 +246,35 @@ class TestCategorize:
 
 
 class TestScaleFactor:
+    @staticmethod
+    def factors(box_side, max_radius, max_category):
+        """s_0 .. s_M, the same from the reference encoder and the codec."""
+        want = [reference_encoder.scale(m, box_side, max_radius, max_category)
+                for m in range(max_category + 1)]
+        cfg = CodebookConfig(box_side, 225, max_category, GRID, (0.0, 0.0), max_radius)
+        assert codec._scale_factors(np.arange(max_category + 1), cfg).tolist() == want
+        return want
+
     def test_inner_points_unscaled(self):
-        assert scale_factor(0, 0.1, 0.4, 2) == 1.0
+        assert self.factors(0.1, 0.4, 2)[0] == 1.0
 
     def test_ring_one(self):
-        assert scale_factor(1, 0.1, 0.4, 2) == pytest.approx(0.2)
+        assert self.factors(0.1, 0.4, 2)[1] == pytest.approx(0.2)
 
     def test_ring_two(self):
-        assert scale_factor(2, 0.1, 0.4, 2) == pytest.approx(1 / 9)
+        assert self.factors(0.1, 0.4, 2)[2] == pytest.approx(1 / 9)
 
     def test_zero_radius_never_scales(self):
-        for m in range(4):
-            assert scale_factor(m, 0.1, 0.0, 3) == 1.0
+        assert self.factors(0.1, 0.0, 3) == [1.0] * 4
 
     def test_monotone_non_increasing(self):
-        values = [scale_factor(m, 0.1, 0.7, 6) for m in range(7)]
+        values = self.factors(0.1, 0.7, 6)
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert all(0 < v <= 1 for v in values)
 
     def test_category_beyond_max_rejected(self):
         with pytest.raises(ValueError):
-            scale_factor(1, 0.1, 0.4, 0)
+            reference_encoder.scale(1, 0.1, 0.4, 0)
 
 
 class TestPackBits:
@@ -305,13 +335,6 @@ def matrix_unpack(data: bytes, bit_width: int, count: int) -> np.ndarray:
     return vals.astype(np.int64)
 
 
-def plain_pack(values, bit_width: int) -> bytes:
-    """LSB-first packing written out: bit b of value i is bit i * bit_width + b
-    of one little-endian integer, here spelled MSB first as a binary string."""
-    bits = "".join(format(int(v), f"0{bit_width}b") for v in reversed(values))
-    return int(bits or "0", 2).to_bytes((len(values) * bit_width + 7) // 8, "little")
-
-
 class TestPackBitsOracle:
     LENGTHS = (1, 7, 8, 9, 63, 64, 65, 4097)
     # pack_bits works in blocks of 2^15 values: these lengths put values on
@@ -347,8 +370,8 @@ class TestPackBitsOracle:
             small = count < 1000
             for values in [rng.integers(0, top + 1, size=count)] + small * [np.full(count, top)]:
                 for d in dtypes if small else dtypes[count % len(dtypes):][:1]:
-                    assert pack_bits(values.astype(d), width) == plain_pack(values, width), (
-                        count, d)
+                    want = reference_encoder.pack(values, width)
+                    assert pack_bits(values.astype(d), width) == want, (count, d)
 
     @pytest.mark.parametrize("width,count", [(1, 8), (3, 8), (8, 5), (20, 2), (32, 3), (12, 66)])
     def test_payload_ending_on_its_last_bit(self, width, count):
@@ -459,10 +482,11 @@ class TestEncodeDecode:
     def test_all_arms_agree(self):
         rng = np.random.default_rng(7)
         weights = rng.normal(scale=0.3, size=2000)
-        reference = encode_layer(weights, "w", (2000,), PARAMS, reference=True)
+        reference = oracle_layer(weights)
         full = encode_layer(weights, "w", (2000,), PARAMS)
         assert full.payload == reference.payload
         assert full.bit_width == reference.bit_width
+        assert full == reference
 
     def test_empty_layer(self):
         enc = encode_layer([], "w", (0,), PARAMS)
@@ -508,13 +532,28 @@ class TestEncodeDecode:
         enc = encode_layer(np.array([1e150, 0.0, -1e150, 5e149]), "w", (4,), params)
         assert np.isfinite(decode_layer(enc)).all()
 
+    @pytest.mark.parametrize("mode", [GRID, DirectionMode.PAPER_EQ])
+    def test_box_side_below_the_floor_is_a_data_error(self, mode):
+        # At l = 1e-200 the lookup's squared distances underflow, and grid mode
+        # at U = 225 decoded pairs 9.9 times past their ring bound. At the
+        # floor every pair decodes within its bound plus rounding.
+        weights = np.random.default_rng(29).uniform(-0.3, 0.3, size=40)
+        with pytest.raises(DataError, match=r"layer 'w': box side 1e-200 is below the floor "
+                                            r"1e-150, where the lookup's squared distances"):
+            encode_layer(weights * 1e-200, "w", (40,), EncodeParams(1e-200, 225, 0, mode))
+        weights *= MIN_BOX_SIDE
+        for u in (4, 225, 4096, 65536):
+            for m in (0, 3):
+                enc = encode_layer(weights, "w", (40,), EncodeParams(MIN_BOX_SIDE, u, m, mode))
+                bounds = ring_error_bounds(enc.config) + rounding_terms(enc.config)
+                assert (pair_errors(weights, enc) <= bounds[stored_rings(enc)]).all(), (u, m)
+
     @pytest.mark.filterwarnings("error")
     def test_near_float_max_encodes_without_warning(self):
         # The lattice certificate's bound is hugely negative here; squared
         # unclipped, it overflowed (with a warning) before settling nothing.
-        for reference in (False, True):
-            enc = encode_layer(np.array([1.7e308, 0.0]), "w", (2,), PARAMS,
-                               reference=reference)
+        weights = np.array([1.7e308, 0.0])
+        for enc in (encode_layer(weights, "w", (2,), PARAMS), oracle_layer(weights)):
             assert (enc.payload, enc.bit_width) == (b"\xad", 8)
             assert enc.config.centroid == (1.7e308, 0.0)
 
@@ -525,8 +564,7 @@ class TestEncodeDecode:
         # The sums behind the centroid and the odd-length pad overflow; taken
         # again on terms scaled by a power of two they give the true mean.
         weights = np.array(weights)
-        for reference in (False, True):
-            enc = encode_layer(weights, "w", (len(weights),), PARAMS, reference=reference)
+        for enc in (encode_layer(weights, "w", (len(weights),), PARAMS), oracle_layer(weights)):
             assert enc.config.centroid == (weights[0], weights[0])
             restored = decode_layer(enc)
             assert (np.abs(weights - restored) <= roundtrip_bounds(weights)).all()
@@ -599,6 +637,36 @@ class TestEncodeDecode:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20, (i, peak)
+
+
+class TestReferenceEncoder:
+    @pytest.mark.parametrize("u", [1, 2, 3, 4, 5, 9, 16, 225, 361])
+    @pytest.mark.parametrize("mode", [GRID, DirectionMode.PAPER_EQ])
+    def test_matches_encode_layer_on_edge_configs(self, mode, u):
+        # Every field of the layer, or the refusal, for each ring count, box
+        # side and input: float32 of odd length (a pad, blocks converted from
+        # float32), float64, and float64 around a centroid near (1e9, 1e9).
+        encoded = refused = 0
+        for m in (0, 1, 3):
+            for side in (1e-14, 0.1, 1e6):
+                inputs = (
+                    (side * np.random.default_rng(1).normal(size=41)).astype(np.float32),
+                    side * np.random.default_rng(2).uniform(-0.3, 0.3, size=40),
+                    1e9 + side * np.random.default_rng(3).uniform(-0.3, 0.3, size=40),
+                )
+                for weights in inputs:
+                    params = EncodeParams(side, u, m, mode)
+                    try:
+                        want = oracle_layer(weights, params)
+                    except ValueError:
+                        with pytest.raises(ConsistencyError):
+                            encode_layer(weights, "w", (weights.size,), params)
+                        refused += 1
+                        continue
+                    assert encode_layer(weights, "w", (weights.size,), params) == want, (
+                        m, side, weights.dtype)
+                    encoded += 1
+        assert (encoded, refused) == (24, 3)
 
 
 class TestDecodeTheta:
@@ -679,8 +747,8 @@ class TestDecodeTheta:
         cats, lam = np.divmod(unpack_bits(enc.payload, enc.bit_width, enc.group_count),
                               cfg.num_points)
         assert cats.max() > 0  # some pairs lie outside the box
-        scales = np.array([scale_factor(int(c), cfg.box_side, cfg.max_radius,
-                                        cfg.max_category) for c in cats])
+        scales = np.array([reference_encoder.scale(int(c), cfg.box_side, cfg.max_radius,
+                                                   cfg.max_category) for c in cats])
         center = np.array(cfg.centroid)
         want = (points[lam] - center) / scales[:, None] + center
         assert decode_layer(enc).tobytes() == want.reshape(-1)[:301].tobytes()
@@ -847,8 +915,8 @@ class TestRingErrorBounds:
             if mode is GRID:
                 # Bit for bit the grid formula the acceptance criteria assert.
                 cover = 2 ** 0.5 * side / math.isqrt(u)
-                assert bounds.tolist() == [cover / scale_factor(m, side, 0.37 * side, 3)
-                                           for m in range(4)]
+                assert bounds.tolist() == [
+                    cover / reference_encoder.scale(m, side, 0.37 * side, 3) for m in range(4)]
             cb = build_codebook(cfg)
             _, dist = cb.nearest_many(box_queries(cfg, cb.points, rng))
             assert dist.max() <= bounds[0] + rounding_terms(cfg)[0]
