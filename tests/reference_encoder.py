@@ -16,11 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-GRID_SHEAR, PAPER_EQ = 0, 1  # the direction modes' on-disk tags
+GRID_SHEAR = 0  # the grid direction's on-disk tag; paper mode's is 1
 OVER_RTOL = 1e-9  # slack past the outermost ring for rounding, relative
 
 
 class Encoded(NamedTuple):
+    """The fields of an encoded layer that its weights determine."""
+
     centroid: tuple[float, float]
     max_radius: float
     pad_value: float
