@@ -36,7 +36,6 @@ from .inference import (
     input_dim,
     load_dataset_csv,
     make_toy_dataset,
-    model_to_network,
     network_to_bundle,
     save_dataset_csv,
     train_toy,
@@ -186,7 +185,10 @@ def _seed(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    dims = [int(d) for d in args.layers.split(",") if d]
+    try:
+        dims = [int(d) for d in args.layers.split(",") if d]
+    except ValueError:  # a part that is not an integer, refused below
+        dims = []
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise DataError("--layers needs at least two positive dims, e.g. 4,32,2")
     weights = sum(inp * out + out for inp, out in zip(dims, dims[1:]))
@@ -229,8 +231,6 @@ def _cmd_infer(args) -> int:
     elif magic == HCMP_MAGIC:
         # eval_accuracy runs a CompressedModel through the pipelined forward pass
         model = read_hcmp(args.model)
-        if not args.pipeline:
-            model = model_to_network(model)
     else:
         raise DataError(f"{args.model}: neither an NTB nor an HCMP file")
     if x.shape[1] != (width := input_dim(model)):
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="NTB or HCMP file")
     p.add_argument("--data", required=True, help="CSV with x1..xd,label header")
     p.add_argument("--pipeline", action="store_true",
-                   help="overlap decode and compute (HCMP only)")
+                   help="refused for NTB; HCMP models always overlap decode and compute")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("perc", help="percolation experiments")

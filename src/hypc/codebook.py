@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -120,8 +119,8 @@ class Codebook:
     """One layer's view of the cached box-frame points, indexed for lookup.
 
     The points lie on ``isqrt(U) + 1`` horizontal rows: row ``r`` near
-    ``y_lo + r * l / isqrt(U)``, where the top row holds the bottom-row points
-    that ``np.mod`` rounded up to ``y ~ l``. Point ``lam`` sits near row
+    ``y_lo + r * l / isqrt(U)``, where the top row holds bottom-row points
+    whose ``lam * dy`` rounded below a multiple of ``l``. Point ``lam`` sits near row
     ``lam % isqrt(U)`` at ``x_lo + lam * dx``, so rounding a query to that
     lattice finds a candidate in O(1), settled by a box in its Voronoi cell
     (``_round``). Other queries, in either mode, get the nine lattice points
@@ -129,7 +128,10 @@ class Codebook:
     its edge and float-collapsed codebooks go to the row sweep (``_RowSweep``).
     Each stage gathers the points it reads (``gather``), so a layer holds
     scalars and O(isqrt(U)) tables; the shifted ``points`` and the sweep's
-    index are built on first use. Safe for concurrent readers.
+    index are built on first use. Safe for concurrent readers. The box side
+    lies in [codec.MIN_BOX_SIDE, codec.MAX_BOX_SIDE], as encode_layer enforces:
+    there the compared squares stay finite and, near the covering radius, normal,
+    and each step is normal, so x = fl(lam * dx) < l rises from point 0 to U - 1.
     """
 
     def __init__(self, config: CodebookConfig):
@@ -143,10 +145,7 @@ class Codebook:
         # (lam * dy < (root + 2) * l) and the shift into the box each round.
         self._root = root
         self._dx, self._h = direction_vector(*key)
-        # Rounding multiplies by these. A candidate needs only to be a valid
-        # index, so a subnormal step's reciprocal is capped to stay finite.
-        self._inverse = (1 / max(self._dx, sys.float_info.min),
-                         1 / max(self._h, sys.float_info.min))
+        self._inverse = (1 / self._dx, 1 / self._h)  # rounding multiplies by these
         corner = max(abs(c) for c in config.box)
         self._err = 4 * (root + 2) * math.ulp(config.box_side) + 4 * math.ulp(corner)
         margin = 4 * (root + 4) * self._err + 1e-9 * self._h
@@ -155,8 +154,8 @@ class Codebook:
         # p and p + 1 (mod root) and the last in-row index of each, as float.
         self._rows = np.mod(np.arange(root + 1) + _STEPS, root)
         self._last = (config.num_points - 1 - self._rows) // root
-        # Float addition is monotone: the shifted points' extremes are the extremes shifted.
-        self._x_extent = gather(self._frame, _x_extremes(*key), config)[:, 0]
+        # Point 0 has the least x and point U - 1 the greatest (see above), shifted or not.
+        self._x_extent = gather(self._frame, [0, config.num_points - 1], config)[:, 0]
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -259,7 +258,7 @@ class Codebook:
         A point not examined is in one of these rows, at least ``side`` (the
         x-gap to index ``k +- 2``) away, or at position ``pos0 +- 2`` or beyond,
         at least ``gap`` (that y-gap) away in y and, like every stored point,
-        ``e = max(qx - x_max, x_min - qx, 0)`` in x (stored extremes). The gaps
+        ``e = max(qx - x_max, x_min - qx, 0)`` in x (points 0 and U - 1). The gaps
         are less ``2*err`` (``_round``); ``e`` needs none: rounding is monotone,
         so the scan's ``|dx|`` is at least ``e`` as computed, its dsq at least
         ``e*e + gap*gap``. Kept when dsq is below ``side**2`` and that, times
@@ -463,13 +462,6 @@ def covering_radius(num_points: int, box_side: float, mode: DirectionMode) -> fl
 
 
 @lru_cache(maxsize=16)
-def _x_extremes(num_points: int, box_side: float, mode: DirectionMode) -> tuple[int, int]:
-    """Indices of a least and a greatest x among the box-frame points, memoized like them."""
-    x = cached_codebook(num_points, box_side, mode)[:, 0]
-    return int(x.argmin()), int(x.argmax())
-
-
-@lru_cache(maxsize=16)
 def cached_codebook(num_points: int, box_side: float, mode: DirectionMode) -> np.ndarray:
     """The (num_points, 2) trajectory points in the box frame [0, l) x [0, l),
     ``np.mod(lam * a, l)``, float64, read-only and memoized: the encoder and
@@ -481,6 +473,5 @@ def cached_codebook(num_points: int, box_side: float, mode: DirectionMode) -> np
     lam = np.arange(num_points, dtype=np.float64)
     points = np.mod(lam[:, None] * np.asarray(direction_vector(num_points, box_side, mode)),
                     box_side)
-    points[points >= box_side] = 0.0  # np.mod can round up to box_side
     points.setflags(write=False)
     return points

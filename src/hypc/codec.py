@@ -46,6 +46,11 @@ _SUM_LEAF = 1 << 16  # most terms _tree_sum hands to one np.add.reduce
 # below 2^-53 * B^2 and the picked point lies within B * (1 + 3 * 2^-53).
 # At l = 1e-200 pairs decoded up to 9.9 times past their ring bound.
 MIN_BOX_SIDE = 1e-150
+# Largest box side encode_layer takes, the floor's mirror. Queries and points
+# lie in the box up to rounding, so each sum of two squares the lookup compares
+# is at most about 2 l^2, 2e300 here; past about 9.5e153 it can overflow and tie
+# every candidate (at l = 1e160, U = 225 decoded 7.5 times past the bound).
+MAX_BOX_SIDE = 1e150
 
 
 @dataclass(frozen=True)
@@ -267,14 +272,17 @@ def encode_layer(
     then max_radius, then each block's ring plan, rescale and lookup; packing
     is blocked too. The codes equal an exhaustive scan's, smallest index on
     ties. Ring m's pairs decode within ring_error_bounds[m] up to rounding.
-    DataError refuses a box side below MIN_BOX_SIDE, a pair farther than about
-    1.3e154 (sqrt of the float64 max) from the centroid, whose squared distance
-    overflows, and a code wider than HCMP's 32 bits: codes run below
-    (M + 1) * U <= 2^36.
+    DataError refuses a box side in (0, MIN_BOX_SIDE) or (MAX_BOX_SIDE, inf),
+    outside Codebook's domain; a pair farther than about 1.3e154 (sqrt of the
+    float64 max) from the centroid, whose squared distance overflows; and a
+    code wider than HCMP's 32 bits: codes run below (M + 1) * U <= 2^36.
     """
     if 0 < params.box_side < MIN_BOX_SIDE:
         raise DataError(f"layer {name!r}: box side {params.box_side} is below the floor "
                         f"{MIN_BOX_SIDE}, where the lookup's squared distances underflow")
+    if MAX_BOX_SIDE < params.box_side < math.inf:
+        raise DataError(f"layer {name!r}: box side {params.box_side} is above the ceiling "
+                        f"{MAX_BOX_SIDE}, where the lookup's squared distances overflow")
     shape = tuple(int(s) for s in shape)
     flat = np.asarray(weights)
     if math.prod(shape) != flat.size:

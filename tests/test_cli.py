@@ -131,6 +131,24 @@ class TestEndToEnd:
         assert code == 0
         assert json.loads(ntb_out)["accuracy"] >= 0.95
 
+    def test_infer_runs_hcmp_models_pipelined(self, tmp_path, capsys, monkeypatch):
+        # With or without --pipeline an HCMP model goes through
+        # pipelined_forward, which criterion 6 proves bitwise equal to decoding
+        # every layer first; the flag only refuses NTB models.
+        ntb, hcmp, csv = tmp_path / "m.ntb", tmp_path / "m.hcmp", tmp_path / "d.csv"
+        run(capsys, "gen", "--layers", "4,3,2", "--output", str(ntb))
+        run(capsys, "compress", "--input", str(ntb), "--output", str(hcmp))
+        csv.write_text("x1,x2,x3,x4,label\n0.1,0.2,0.3,0.4,1\n0.5,-0.1,0,0.2,0\n")
+        calls = []
+        real = inference.pipelined_forward
+        monkeypatch.setattr(inference, "pipelined_forward",
+                            lambda *a, **k: (calls.append(a[0]), real(*a, **k))[1])
+        for flags in ([], ["--pipeline"]):
+            code, out, _ = run(capsys, "infer", "--model", str(hcmp), "--data", str(csv),
+                               *flags)
+            assert code == 0 and set(json.loads(out)) == {"accuracy"}
+        assert len(calls) == 2
+
 
 class TestPerc:
     def test_p0_value(self, capsys):
@@ -519,13 +537,28 @@ class TestErrors:
 
     def test_box_side_below_the_floor_is_one_error_line(self, tmp_path, capsys):
         # At l = 1e-200 squared distances underflow, and pairs decoded up to
-        # 9.9 times past their ring bound.
+        # 9.9 times past their ring bound. Above the ceiling they overflow: at
+        # l = 1e160 compress exited 0 after numpy warnings, and decompress
+        # refused the file.
         ntb, target = tmp_path / "m.ntb", tmp_path / "o.hcmp"
         run(capsys, "gen", "--layers", "4,2", "--seed", "0", "--output", str(ntb))
         assert run(capsys, "compress", "--input", str(ntb), "--output", str(target),
                    "--l", "1e-200") == (
             1, "", "error: layer 'layer0.weight': box side 1e-200 is below the floor "
             "1e-150, where the lookup's squared distances underflow\n")
+        assert run(capsys, "compress", "--input", str(ntb), "--output", str(target),
+                   "--l", "1e160") == (
+            1, "", "error: layer 'layer0.weight': box side 1e+160 is above the ceiling "
+            "1e+150, where the lookup's squared distances overflow\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("layers", ["4,x,2", "4,2.5", "0,2", "4"])
+    def test_malformed_gen_layers_get_one_message(self, tmp_path, capsys, layers):
+        # A part that is not an integer printed Python's "invalid literal for
+        # int() with base 10: 'x'", which names neither the flag nor the form.
+        target = tmp_path / "m.ntb"
+        assert run(capsys, "gen", "--layers", layers, "--output", str(target)) == (
+            1, "", "error: --layers needs at least two positive dims, e.g. 4,32,2\n")
         assert not target.exists()
 
 

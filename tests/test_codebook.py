@@ -13,9 +13,10 @@ from hypc.codebook import (
     CodebookConfig,
     DirectionMode,
     build_codebook,
+    cached_codebook,
     direction_vector,
 )
-from hypc.codec import ring_error_bounds
+from hypc.codec import MAX_BOX_SIDE, MIN_BOX_SIDE, ring_error_bounds
 
 GRID = DirectionMode.GRID_SHEAR
 PAPER = DirectionMode.PAPER_EQ
@@ -42,7 +43,7 @@ def exhaustive_argmin(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 def point_rows(cfg, points: np.ndarray) -> np.ndarray:
     """Row r of each point, y ~ y_lo + r * l / isqrt(U); r = isqrt(U) holds the
-    bottom-row points that np.mod rounded up to the top of the box."""
+    bottom-row points whose lam * dy rounded below a multiple of l, at the top."""
     step = cfg.box_side / math.isqrt(cfg.num_points)
     return np.rint((points[:, 1] - cfg.box[2]) / step).astype(np.int64)
 
@@ -152,6 +153,21 @@ class TestBuildCodebook:
         x_lo, x_hi, y_lo, y_hi = cfg.box
         assert (cb.points[:, 0] >= x_lo).all() and (cb.points[:, 0] <= x_hi).all()
         assert (cb.points[:, 1] >= y_lo).all() and (cb.points[:, 1] <= y_hi).all()
+
+    @pytest.mark.parametrize("mode", [GRID, PAPER])
+    def test_box_frame_points_lie_below_l_with_x_rising(self, mode):
+        # Over the box sides encode_layer takes, the lookup reads the x extent
+        # from points 0 and U - 1, and no coordinate may reach l: both rest on
+        # np.mod being the exact fmod and each step a normal float. The
+        # unmemoized function keeps 16-MB arrays out of the process-wide cache.
+        points_of = cached_codebook.__wrapped__
+        sampled = (600, 1000, 1023, 1024, 2047, 4095, 4096, 10007, 16384, 65535, 65536,
+                   100_000, 131_071, 262_143, 262_144, 500_000, 999_999, (1 << 20) - 1, 1 << 20)
+        for side in (MIN_BOX_SIDE, 1e-14, 0.1, 1e6, MAX_BOX_SIDE):
+            for u in (*range(1, 513), *sampled):
+                points = points_of(u, side, mode)
+                assert ((points >= 0) & (points < side)).all(), (side, u)
+                assert (np.diff(points[:, 0]) >= 0).all(), (side, u)
 
     def test_points_read_only(self):
         cb = build_codebook(config(u=9))

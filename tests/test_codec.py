@@ -23,6 +23,7 @@ from hypc.codebook import (
 from hypc.codec import (
     EncodeParams,
     EncodedLayer,
+    MAX_BOX_SIDE,
     MIN_BOX_SIDE,
     _categorize_distances,
     decode_layer,
@@ -532,21 +533,31 @@ class TestEncodeDecode:
         enc = encode_layer(np.array([1e150, 0.0, -1e150, 5e149]), "w", (4,), params)
         assert np.isfinite(decode_layer(enc)).all()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode", [GRID, DirectionMode.PAPER_EQ])
     def test_box_side_below_the_floor_is_a_data_error(self, mode):
-        # At l = 1e-200 the lookup's squared distances underflow, and grid mode
-        # at U = 225 decoded pairs 9.9 times past their ring bound. At the
-        # floor every pair decodes within its bound plus rounding.
+        # The floor and the ceiling of the box side. At l = 1e-200 the lookup's
+        # squared distances underflow, and grid mode at U = 225 decoded pairs
+        # 9.9 times past their ring bound; at l = 1e160 they overflow, with
+        # numpy warnings, and it decoded pairs 7.5 times past. At the floor and
+        # at the ceiling every pair decodes within its bound plus rounding.
         weights = np.random.default_rng(29).uniform(-0.3, 0.3, size=40)
         with pytest.raises(DataError, match=r"layer 'w': box side 1e-200 is below the floor "
                                             r"1e-150, where the lookup's squared distances"):
             encode_layer(weights * 1e-200, "w", (40,), EncodeParams(1e-200, 225, 0, mode))
-        weights *= MIN_BOX_SIDE
-        for u in (4, 225, 4096, 65536):
-            for m in (0, 3):
-                enc = encode_layer(weights, "w", (40,), EncodeParams(MIN_BOX_SIDE, u, m, mode))
-                bounds = ring_error_bounds(enc.config) + rounding_terms(enc.config)
-                assert (pair_errors(weights, enc) <= bounds[stored_rings(enc)]).all(), (u, m)
+        for m in (0, 3):
+            with pytest.raises(DataError, match=r"layer 'w': box side 1e\+160 is above the "
+                               r"ceiling 1e\+150, where the lookup's squared distances overflow"):
+                encode_layer(weights, "w", (40,), EncodeParams(1e160, 225, m, mode))
+        for side, sizes in ((MIN_BOX_SIDE, (4, 225, 4096, 65536)),
+                            (MAX_BOX_SIDE, (1, 4, 9, 225, 65536))):
+            scaled = weights * side
+            for u in sizes:
+                for m in (0, 3):
+                    enc = encode_layer(scaled, "w", (40,), EncodeParams(side, u, m, mode))
+                    bounds = ring_error_bounds(enc.config) + rounding_terms(enc.config)
+                    errors = pair_errors(scaled, enc)
+                    assert (errors <= bounds[stored_rings(enc)]).all(), (side, u, m)
 
     @pytest.mark.filterwarnings("error")
     def test_near_float_max_encodes_without_warning(self):
